@@ -18,7 +18,7 @@ import numpy as np
 
 import gcnx
 from gcnx.datasets import DataError, LabeledSet, SplitSpec, load_csv, split, synth_motif_set
-from gcnx.explainers import METHODS, explain_pair
+from gcnx.explainers import METHODS, MoleculeExplanations, explain_pair
 from gcnx.metrics import metric_suite
 from gcnx.mining import mine
 from gcnx.model import (
@@ -33,7 +33,6 @@ from gcnx.model import (
 )
 from gcnx.render import layout_molecule, molecule_dot, molecule_svg
 from gcnx.smiles import featurize
-from gcnx.util import parallel_map
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -188,14 +187,15 @@ def cmd_explain(args) -> int:
 
     def explain_one(entry):
         (mol_id, graph, _), molecule = entry
-        trace = forward(graph, params)
+        # every pair of the molecule shares this source's gradients and EB passes
+        source = MoleculeExplanations(graph, params)
         records = []
         rendered = {}
         for method in methods:
             method_layers = layers if method == "grad_cam" else [None]
             for layer in method_layers:
                 h_pos, h_neg = explain_pair(
-                    graph, params, method, layer=layer, trace=trace
+                    graph, params, method, layer=layer, source=source
                 )
                 for heat in (h_neg, h_pos):
                     records.append(
@@ -211,7 +211,7 @@ def cmd_explain(args) -> int:
         ((mol_id, graph, label), molecule)
         for (mol_id, graph, label), (_, molecule, _) in zip(graphs, dataset.entries)
     ]
-    results = parallel_map(explain_one, entries)
+    results = [explain_one(entry) for entry in entries]
 
     with open(records_path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps({"header": artifact_header(config)}) + "\n")
@@ -298,7 +298,7 @@ def cmd_mine(args) -> int:
         heat = h_pos if predicted == 1 else h_neg
         return mol_id, predicted, heat.values
 
-    explained = parallel_map(explain_one, graphs)
+    explained = [explain_one(item) for item in graphs]
     predictions = {mol_id: predicted for mol_id, predicted, _ in explained}
     heatmaps = {mol_id: values for mol_id, _, values in explained}
 

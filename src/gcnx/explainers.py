@@ -5,6 +5,12 @@ layer-averaged variant), and excitation backprop with its contrastive
 extension. All methods read the pre-softmax class score, and all values are
 nonnegative by construction. Heatmaps for the two classes of one molecule
 are normalized jointly so they form a single probability distribution.
+
+Every method reads one MoleculeExplanations per molecule, which computes
+each quantity once: one forward trace, one backward pass stacked over the
+classes for the gradient methods, and at most four excitation passes (base
+and negated classifier, per class) shared by eb and ceb. Callers that want
+several pairs of one molecule pass the same source to explain_pair.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from gcnx.graphs import AttributedGraph
-from gcnx.model import ForwardTrace, ModelParams, forward, score_gradients
+from gcnx.model import ForwardTrace, ModelParams, class_score_gradients, forward
 
 METHODS = ("gradient", "cam", "grad_cam", "grad_cam_avg", "eb", "ceb")
 
@@ -45,10 +51,7 @@ def gradient_saliency(
     trace: ForwardTrace, graph: AttributedGraph, params: ModelParams, class_id: int
 ) -> Heatmap:
     """Euclidean norm of the positive part of d(score)/d(node features)."""
-    grads = score_gradients(trace, graph, params, class_id)
-    clamped = np.maximum(grads.input, 0.0)
-    values = np.sqrt((clamped * clamped).sum(axis=1))
-    return Heatmap(method="gradient", class_id=class_id, values=values)
+    return MoleculeExplanations(graph, params, trace).heatmap("gradient", class_id)
 
 
 def cam(trace: ForwardTrace, params: ModelParams, class_id: int) -> Heatmap:
@@ -67,29 +70,14 @@ def grad_cam(
     layer: int | None = None,
 ) -> Heatmap:
     """Layer features weighted by node-averaged score gradients."""
-    n_layers = trace.n_layers
-    if layer is None:
-        layer = n_layers
-    if not 1 <= layer <= n_layers:
-        raise ValueError(f"layer must be in 1..{n_layers}, got {layer}")
-    grads = score_gradients(trace, graph, params, class_id)
-    alpha = grads.activations[layer].mean(axis=0)
-    values = np.maximum(trace.activations[layer] @ alpha, 0.0)
-    return Heatmap(method="grad_cam", class_id=class_id, values=values, layer=layer)
+    return MoleculeExplanations(graph, params, trace).heatmap("grad_cam", class_id, layer)
 
 
 def grad_cam_avg(
     trace: ForwardTrace, graph: AttributedGraph, params: ModelParams, class_id: int
 ) -> Heatmap:
     """Arithmetic mean of Grad-CAM heatmaps over all convolution layers."""
-    grads = score_gradients(trace, graph, params, class_id)
-    total = np.zeros(trace.n_nodes)
-    for layer in range(1, trace.n_layers + 1):
-        alpha = grads.activations[layer].mean(axis=0)
-        total += np.maximum(trace.activations[layer] @ alpha, 0.0)
-    return Heatmap(
-        method="grad_cam_avg", class_id=class_id, values=total / trace.n_layers
-    )
+    return MoleculeExplanations(graph, params, trace).heatmap("grad_cam_avg", class_id)
 
 
 # ------------------------------------------------------- excitation backprop
@@ -128,16 +116,36 @@ class ExcitationTrace:
         return masses
 
 
+def _perceptron_terms(
+    trace: ForwardTrace, params: ModelParams
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Element l is (W+, propagated[l] @ W+) with W+ = max(layer_weights[l], 0):
+    the part of the perceptron rule that depends on neither the class nor
+    the sign of the classifier."""
+    terms = []
+    for w, prop in zip(params.layer_weights, trace.propagated):
+        w_pos = np.maximum(w, 0.0)
+        terms.append((w_pos, prop @ w_pos))
+    return terms
+
+
 def excitation_backprop_trace(
     trace: ForwardTrace,
     graph: AttributedGraph,
     params: ModelParams,
     class_id: int,
     negate_classifier: bool = False,
+    *,
+    perceptron_terms: list[tuple[np.ndarray, np.ndarray]] | None = None,
 ) -> ExcitationTrace:
-    """Full excitation backprop with every intermediate mass retained."""
+    """Full excitation backprop with every intermediate mass retained.
+
+    perceptron_terms, if given, must be _perceptron_terms(trace, params);
+    it lets the passes over one molecule share those products."""
     n = trace.n_nodes
     v = graph.norm_propagation
+    if perceptron_terms is None:
+        perceptron_terms = _perceptron_terms(trace, params)
 
     classifier_column = params.classifier_weights[:, class_id]
     if negate_classifier:
@@ -150,10 +158,9 @@ def excitation_backprop_trace(
     p_propagated = []
 
     for l in range(trace.n_layers - 1, -1, -1):
-        w_pos = np.maximum(params.layer_weights[l], 0.0)
+        w_pos, z = perceptron_terms[l]
         prop = trace.propagated[l]
         # perceptron rule: split each output unit's mass over same-node inputs
-        z = prop @ w_pos
         p_prop = prop * (_safe_ratio(p_activations[-1], z) @ w_pos.T)
         p_propagated.append(p_prop)
         # averaging rule: split each averaged unit's mass over contributing nodes
@@ -178,17 +185,100 @@ def excitation_bp(
     """Excitation backprop heatmap; the contrastive variant runs a second
     pass with the classifier column negated and keeps the positive part of
     the difference, rescaled to unit mass."""
-    base = excitation_backprop_trace(trace, graph, params, class_id)
-    if not contrastive:
-        return Heatmap(method="eb", class_id=class_id, values=base.heatmap_values)
-    opposite = excitation_backprop_trace(
-        trace, graph, params, class_id, negate_classifier=True
-    )
-    diff = np.maximum(base.heatmap_values - opposite.heatmap_values, 0.0)
-    total = diff.sum()
-    if total > 0.0:
-        diff = diff / total
-    return Heatmap(method="ceb", class_id=class_id, values=diff)
+    method = "ceb" if contrastive else "eb"
+    return MoleculeExplanations(graph, params, trace).heatmap(method, class_id)
+
+
+# ------------------------------------------------------ per-molecule source
+
+
+class MoleculeExplanations:
+    """Every explainer quantity of one molecule, each computed at most once.
+
+    It is built on one forward trace. The score gradients of all classes
+    come from one stacked backward pass (model.class_score_gradients), which
+    gradient, grad_cam at any layer and grad_cam_avg all read. Excitation
+    passes, with the base or the negated classifier for each class, are
+    kept once run, so ceb reuses the base passes of eb: at most four passes
+    per molecule. They share max(W, 0) and its product with the trace.
+    cam reads the trace alone.
+    Everything is computed on first use.
+    """
+
+    def __init__(
+        self,
+        graph: AttributedGraph,
+        params: ModelParams,
+        trace: ForwardTrace | None = None,
+    ):
+        self.graph = graph
+        self.params = params
+        self.trace = forward(graph, params) if trace is None else trace
+        self._gradients: list[np.ndarray] | None = None
+        self._perceptron_terms: list[tuple[np.ndarray, np.ndarray]] | None = None
+        self._excitation: dict[tuple[int, bool], np.ndarray] = {}
+
+    def _activation_gradients(self, class_id: int) -> list[np.ndarray]:
+        """d(y^class_id)/dF^l for l = 0..L."""
+        if self._gradients is None:
+            self._gradients = class_score_gradients(self.trace, self.graph, self.params)
+        return [g[class_id] for g in self._gradients]
+
+    def _grad_cam_values(self, class_id: int, layer: int) -> np.ndarray:
+        alpha = self._activation_gradients(class_id)[layer].mean(axis=0)
+        return np.maximum(self.trace.activations[layer] @ alpha, 0.0)
+
+    def _excitation_values(self, class_id: int, negate: bool) -> np.ndarray:
+        key = (class_id, negate)
+        if key not in self._excitation:
+            if self._perceptron_terms is None:
+                self._perceptron_terms = _perceptron_terms(self.trace, self.params)
+            self._excitation[key] = excitation_backprop_trace(
+                self.trace,
+                self.graph,
+                self.params,
+                class_id,
+                negate_classifier=negate,
+                perceptron_terms=self._perceptron_terms,
+            ).heatmap_values
+        return self._excitation[key]
+
+    def heatmap(self, method: str, class_id: int, layer: int | None = None) -> Heatmap:
+        """One class's heatmap; layer applies to grad_cam only (default: the
+        final layer)."""
+        trace = self.trace
+        if method == "gradient":
+            clamped = np.maximum(self._activation_gradients(class_id)[0], 0.0)
+            values = np.sqrt((clamped * clamped).sum(axis=1))
+        elif method == "cam":
+            return cam(trace, self.params, class_id)
+        elif method == "grad_cam":
+            n_layers = trace.n_layers
+            if layer is None:
+                layer = n_layers
+            if not 1 <= layer <= n_layers:
+                raise ValueError(f"layer must be in 1..{n_layers}, got {layer}")
+            values = self._grad_cam_values(class_id, layer)
+            return Heatmap(method=method, class_id=class_id, values=values, layer=layer)
+        elif method == "grad_cam_avg":
+            values = np.zeros(trace.n_nodes)
+            for l in range(1, trace.n_layers + 1):
+                values += self._grad_cam_values(class_id, l)
+            values = values / trace.n_layers
+        elif method == "eb":
+            values = self._excitation_values(class_id, False)
+        elif method == "ceb":
+            base = self._excitation_values(class_id, False)
+            opposite = self._excitation_values(class_id, True)
+            values = np.maximum(base - opposite, 0.0)
+            total = values.sum()
+            if total > 0.0:
+                values = values / total
+        elif method == "null":  # diagnostic explainer that marks nothing
+            values = np.zeros(trace.n_nodes)
+        else:
+            raise ValueError(f"unknown explanation method {method!r}")
+        return Heatmap(method=method, class_id=class_id, values=values)
 
 
 # ------------------------------------------------------------ normalization
@@ -218,21 +308,7 @@ def compute_heatmap(
     class_id: int,
     layer: int | None = None,
 ) -> Heatmap:
-    if method == "gradient":
-        return gradient_saliency(trace, graph, params, class_id)
-    if method == "cam":
-        return cam(trace, params, class_id)
-    if method == "grad_cam":
-        return grad_cam(trace, graph, params, class_id, layer)
-    if method == "grad_cam_avg":
-        return grad_cam_avg(trace, graph, params, class_id)
-    if method == "eb":
-        return excitation_bp(trace, graph, params, class_id)
-    if method == "ceb":
-        return excitation_bp(trace, graph, params, class_id, contrastive=True)
-    if method == "null":  # diagnostic explainer that marks nothing
-        return Heatmap(method="null", class_id=class_id, values=np.zeros(trace.n_nodes))
-    raise ValueError(f"unknown explanation method {method!r}")
+    return MoleculeExplanations(graph, params, trace).heatmap(method, class_id, layer)
 
 
 def explain_pair(
@@ -241,12 +317,16 @@ def explain_pair(
     method: str,
     layer: int | None = None,
     trace: ForwardTrace | None = None,
+    source: MoleculeExplanations | None = None,
 ) -> tuple[Heatmap, Heatmap]:
     """Normalized (positive-class, negative-class) heatmap pair.
 
-    Class 1 is treated as the positive class throughout the pipeline."""
-    if trace is None:
-        trace = forward(graph, params)
-    h_pos = compute_heatmap(trace, graph, params, method, 1, layer)
-    h_neg = compute_heatmap(trace, graph, params, method, 0, layer)
-    return normalize_pair(h_pos, h_neg)
+    Class 1 is treated as the positive class throughout the pipeline. A
+    source built for this graph and these parameters shares its gradients
+    and excitation passes with the other pairs asked of it."""
+    if source is None:
+        source = MoleculeExplanations(graph, params, trace)
+    return normalize_pair(
+        source.heatmap(method, 1, layer), source.heatmap(method, 0, layer)
+    )
+

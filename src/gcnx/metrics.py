@@ -5,6 +5,12 @@ threshold. Contrastivity is the Hamming distance between the two class
 masks over their union; sparsity is the fraction of nodes outside the
 union; fidelity is the accuracy drop after occluding salient nodes,
 macro-averaged over true classes.
+
+metric_suite and fidelity share one loop over molecules. Each molecule
+gets one forward and one explainers.MoleculeExplanations for all methods.
+Fidelity occludes the predicted-class mask of the same pair that
+contrastivity and sparsity read, and methods whose masks coincide share
+one occlusion forward.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gcnx.explainers import Heatmap, explain_pair
+from gcnx.explainers import Heatmap, MoleculeExplanations, explain_pair
 from gcnx.model import ModelParams, forward, occlude
 
 DEFAULT_THRESHOLD = 0.01
@@ -44,6 +50,64 @@ def sparsity(m0, m1, n_nodes: int) -> float:
     return 100.0 * (1.0 - union / n_nodes)
 
 
+@dataclass
+class _Outcome:
+    """One (method, layer) request on one molecule."""
+
+    label: int
+    masks: tuple[np.ndarray, np.ndarray]  # positive-class, negative-class
+    predicted: int
+    predicted_after: int  # after occluding the predicted class's mask
+
+
+def _explain_molecule(graph, label, params, requests, threshold) -> list[_Outcome]:
+    """Masks and occlusion outcome of every (method, layer) request on one
+    molecule: one forward, one shared explanation source, and one occlusion
+    forward per distinct nonempty predicted-class mask."""
+    source = MoleculeExplanations(graph, params)
+    predicted = int(np.argmax(source.trace.probabilities))
+    after_by_mask = {}
+    outcomes = []
+    for method, layer in requests:
+        h_pos, h_neg = explain_pair(graph, params, method, layer, source=source)
+        masks = (binarize(h_pos, threshold), binarize(h_neg, threshold))
+        mask = masks[0] if predicted == 1 else masks[1]
+        key = mask.tobytes()
+        if key not in after_by_mask:
+            if mask.any():
+                occluded_trace = forward(occlude(graph, mask), params)
+                after_by_mask[key] = int(np.argmax(occluded_trace.probabilities))
+            else:
+                after_by_mask[key] = predicted
+        outcomes.append(_Outcome(label, masks, predicted, after_by_mask[key]))
+    return outcomes
+
+
+def _outcomes(params, dataset, requests, threshold) -> list[tuple[_Outcome, ...]]:
+    """The one loop over molecules; element r holds request r's outcomes in
+    dataset order."""
+    rows = [
+        _explain_molecule(graph, label, params, requests, threshold)
+        for graph, label in dataset
+    ]
+    return list(zip(*rows))
+
+
+def _fidelity(outcomes) -> float:
+    per_class: dict[int, list[tuple[bool, bool]]] = {}
+    for o in outcomes:
+        per_class.setdefault(o.label, []).append(
+            (o.predicted == o.label, o.predicted_after == o.label)
+        )
+    drops = []
+    for label in sorted(per_class):
+        runs = per_class[label]
+        acc_before = sum(1 for before, _ in runs if before) / len(runs)
+        acc_after = sum(1 for _, after in runs if after) / len(runs)
+        drops.append(acc_before - acc_after)
+    return float(np.mean(drops))
+
+
 def fidelity(
     params: ModelParams,
     dataset,
@@ -55,28 +119,7 @@ def fidelity(
     macro-averaged over the true classes present in the dataset."""
     if not dataset:
         raise ValueError("empty dataset")
-    per_class: dict[int, list[tuple[bool, bool]]] = {}
-    for graph, label in dataset:
-        trace = forward(graph, params)
-        predicted = int(np.argmax(trace.probabilities))
-        pair = explain_pair(graph, params, method, layer=layer, trace=trace)
-        heat = pair[0] if predicted == 1 else pair[1]
-        mask = binarize(heat, threshold)
-        if mask.any():
-            occluded_trace = forward(occlude(graph, mask), params)
-            predicted_after = int(np.argmax(occluded_trace.probabilities))
-        else:
-            predicted_after = predicted
-        per_class.setdefault(label, []).append(
-            (predicted == label, predicted_after == label)
-        )
-    drops = []
-    for label in sorted(per_class):
-        outcomes = per_class[label]
-        acc_before = sum(1 for before, _ in outcomes if before) / len(outcomes)
-        acc_after = sum(1 for _, after in outcomes if after) / len(outcomes)
-        drops.append(acc_before - acc_after)
-    return float(np.mean(drops))
+    return _fidelity(_outcomes(params, dataset, [(method, layer)], threshold)[0])
 
 
 @dataclass
@@ -111,16 +154,18 @@ def metric_suite(
 ) -> list[MetricReport]:
     """Per-method aggregation; population standard deviations; degenerate
     (empty-union) molecules are excluded from the contrastivity mean but
-    still count toward sparsity."""
+    still count toward sparsity. Fidelity reads the same masks."""
+    methods = list(methods)
+    if not dataset:
+        raise ValueError("empty dataset")
     reports = []
-    for method in methods:
+    per_method = _outcomes(params, dataset, [(m, None) for m in methods], threshold)
+    for method, outcomes in zip(methods, per_method):
         contrastivities = []
         sparsities = []
         n_degenerate = 0
-        for graph, _ in dataset:
-            h_pos, h_neg = explain_pair(graph, params, method)
-            m0 = binarize(h_pos, threshold)
-            m1 = binarize(h_neg, threshold)
+        for (graph, _), o in zip(dataset, outcomes):
+            m0, m1 = o.masks
             if not (m0.any() or m1.any()):
                 n_degenerate += 1
             else:
@@ -129,7 +174,7 @@ def metric_suite(
         reports.append(
             MetricReport(
                 method=method,
-                fidelity=fidelity(params, dataset, method, threshold),
+                fidelity=_fidelity(outcomes),
                 contrastivity_mean=float(np.mean(contrastivities)) if contrastivities else 0.0,
                 contrastivity_std=float(np.std(contrastivities)) if contrastivities else 0.0,
                 sparsity_mean=float(np.mean(sparsities)),

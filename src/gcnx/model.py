@@ -41,9 +41,6 @@ class TrainConfig:
     class_weighting: bool = True
     batch_size: int = 1
 
-    # desk-scale widths for tests and quick experiments
-    DESK_LAYER_SIZES = (16, 32, 64)
-
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise ConfigurationError("learning rate must be positive")
@@ -192,24 +189,37 @@ class Gradients:
 
 
 def _backprop(
-    trace: ForwardTrace, graph: AttributedGraph, params: ModelParams, d_scores: np.ndarray
+    trace: ForwardTrace,
+    graph: AttributedGraph,
+    params: ModelParams,
+    d_scores: np.ndarray,
+    weight_grads: bool = True,
 ) -> Gradients:
     """Chain rule through classifier, GAP, and the convolution stack, seeded
-    with d(scalar)/d(scores)."""
+    with d(scalar)/d(scores).
+
+    The pass is linear in its seed, so d_scores may also stack K seeds as
+    rows (K x C). Every gradient then gains a leading axis of length K whose
+    row k equals the pass seeded with d_scores[k] alone; each row runs the
+    same matrix products as a single-seed pass. With weight_grads=False the
+    layer-weight gradients are skipped and layer_weights is left empty.
+    """
     if trace.activations[0].shape != graph.node_features.shape or len(
         trace.propagated
     ) != len(params.layer_weights):
         raise StaleTraceError("trace does not match graph/parameters")
     n = trace.n_nodes
     v = graph.norm_propagation
-    d_classifier = np.outer(trace.gap, d_scores)
-    d_gap = params.classifier_weights @ d_scores
-    d_act = np.broadcast_to(d_gap / n, (n, d_gap.shape[0])).copy()
+    d_classifier = trace.gap[:, None] * d_scores[..., None, :]
+    # .T is a no-op on a 1-D seed, which keeps the single-seed product as it was
+    d_gap = (params.classifier_weights @ d_scores.T).T
+    d_act = np.repeat((d_gap / n)[..., None, :], n, axis=-2)
     d_activations = [d_act]
     d_layer_weights = []
     for l in range(trace.n_layers - 1, -1, -1):
         d_pre = d_act * (trace.preactivations[l] > 0.0)
-        d_layer_weights.append(trace.propagated[l].T @ d_pre)
+        if weight_grads:
+            d_layer_weights.append(trace.propagated[l].T @ d_pre)
         d_prop = d_pre @ params.layer_weights[l].T
         d_act = v.T @ d_prop
         d_activations.append(d_act)
@@ -233,6 +243,16 @@ def score_gradients(
     seed = np.zeros(params.n_classes)
     seed[target_class] = 1.0
     return _backprop(trace, graph, params, seed)
+
+
+def class_score_gradients(
+    trace: ForwardTrace, graph: AttributedGraph, params: ModelParams
+) -> list[np.ndarray]:
+    """d(y^c)/dF^l of every class c from one backward pass, seeded with the
+    stacked one-hot rows. Element l (l = 0..L) has shape (C, N, d_l), and
+    its row c equals score_gradients(..., c).activations[l]."""
+    seeds = np.eye(params.n_classes)
+    return _backprop(trace, graph, params, seeds, weight_grads=False).activations
 
 
 def cross_entropy(trace: ForwardTrace, label: int, weight: float = 1.0) -> float:
@@ -322,7 +342,7 @@ def train(
     """Train with per-molecule ADAM steps; deterministic for a fixed seed.
 
     With a validation set, the returned parameters are the checkpoint with
-    the best validation accuracy (earliest epoch wins ties).
+    the best validation accuracy (the latest epoch wins ties).
     """
     if not dataset:
         raise TrainingError("empty training set")

@@ -188,3 +188,85 @@ def pairwise_roc_auc(scores, labels) -> float:
             elif p == q:
                 wins += 0.5
     return wins / (len(pos) * len(neg))
+
+
+# ------------------------------------------------------- explanation metrics
+def _reference_heatmap(graph, params, trace, method, class_id) -> np.ndarray:
+    """One class's raw heatmap from its own backward or excitation passes."""
+    from gcnx.explainers import excitation_backprop_trace
+    from gcnx.model import score_gradients
+
+    n_layers = len(params.layer_weights)
+    if method == "null":
+        return np.zeros(graph.n_nodes)
+    if method == "cam":
+        return np.maximum(trace.activations[-1] @ params.classifier_weights[:, class_id], 0.0)
+    if method in ("gradient", "grad_cam", "grad_cam_avg"):
+        grads = score_gradients(trace, graph, params, class_id)
+        if method == "gradient":
+            return np.array([np.sqrt(sum(max(x, 0.0) ** 2 for x in row)) for row in grads.input])
+        layers = [n_layers] if method == "grad_cam" else range(1, n_layers + 1)
+        maps = [
+            np.maximum(trace.activations[l] @ grads.activations[l].mean(axis=0), 0.0)
+            for l in layers
+        ]
+        return sum(maps) / len(maps)
+    base = excitation_backprop_trace(trace, graph, params, class_id).heatmap_values
+    if method == "eb":
+        return base
+    opposite = excitation_backprop_trace(
+        trace, graph, params, class_id, negate_classifier=True
+    ).heatmap_values
+    diff = np.maximum(base - opposite, 0.0)
+    return diff / diff.sum() if diff.sum() > 0.0 else diff
+
+
+def reference_metric_suite(params, dataset, methods, threshold) -> list[dict]:
+    """MetricReport fields per method, loop by loop: every (method, molecule)
+    gets its own forward, its own explanation of both classes, and its own
+    occlusion forward; nothing is shared between methods."""
+    from gcnx.model import forward, occlude
+
+    reports = []
+    for method in methods:
+        contrastivities, sparsities, n_degenerate = [], [], 0
+        per_class: dict[int, list[tuple[bool, bool]]] = {}
+        for graph, label in dataset:
+            trace = forward(graph, params)
+            pos = _reference_heatmap(graph, params, trace, method, 1)
+            neg = _reference_heatmap(graph, params, trace, method, 0)
+            joint = pos.sum() + neg.sum()
+            if joint != 0.0:
+                pos, neg = pos / joint, neg / joint
+            m_pos = [bool(x > threshold) for x in pos]
+            m_neg = [bool(x > threshold) for x in neg]
+            union = sum(a or b for a, b in zip(m_pos, m_neg))
+            differ = sum(a != b for a, b in zip(m_pos, m_neg))
+            if union == 0:
+                n_degenerate += 1
+            else:
+                contrastivities.append(100.0 * differ / union)
+            sparsities.append(100.0 * (1.0 - union / len(m_pos)))
+            predicted = int(np.argmax(trace.probabilities))
+            mask = m_pos if predicted == 1 else m_neg
+            after = predicted
+            if any(mask):
+                after = int(np.argmax(forward(occlude(graph, mask), params).probabilities))
+            per_class.setdefault(label, []).append((predicted == label, after == label))
+        drops = [
+            sum(b for b, _ in runs) / len(runs) - sum(a for _, a in runs) / len(runs)
+            for _, runs in sorted(per_class.items())
+        ]
+        reports.append(
+            {
+                "method": method,
+                "fidelity": float(np.mean(drops)),
+                "contrastivity_mean": float(np.mean(contrastivities)) if contrastivities else 0.0,
+                "contrastivity_std": float(np.std(contrastivities)) if contrastivities else 0.0,
+                "sparsity_mean": float(np.mean(sparsities)),
+                "sparsity_std": float(np.std(sparsities)),
+                "n_molecules": len(dataset),
+                "n_degenerate": n_degenerate,
+            }
+        )
+    return reports

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -256,21 +258,40 @@ class TestParsing:
         assert "classes" in capsys.readouterr().err
 
 
-class TestWorkerEnv:
-    def test_thread_count_does_not_change_records(self, trained, tmp_path, monkeypatch):
-        payloads = []
-        for workers in ("1", "4"):
-            monkeypatch.setenv("GCNX_THREADS", workers)
-            out = tmp_path / f"w{workers}"
-            code = main(
-                [
-                    "explain",
-                    "--data", "synth:NO:8",
-                    "--checkpoint", str(trained / "checkpoint.json"),
-                    "--seed", "3",
-                    "--out-dir", str(out),
-                ]
+class TestBlasThreads:
+    def test_outputs_do_not_depend_on_blas_thread_count(self, tmp_path):
+        checkpoint_dir = tmp_path / "train"
+        code = main(
+            [
+                "train",
+                "--data", "synth:NO:40",
+                "--epochs", "3",
+                "--layers", "16,32,64",
+                "--seed", "3",
+                "--out-dir", str(checkpoint_dir),
+            ]
+        )
+        assert code == 0
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=pythonpath)
+            out = tmp_path / f"blas{threads}"
+            for command in ("explain", "metrics"):
+                subprocess.run(
+                    [
+                        sys.executable, "-m", "gcnx", command,
+                        "--data", "synth:NO:8",
+                        "--checkpoint", str(checkpoint_dir / "checkpoint.json"),
+                        "--seed", "3",
+                        "--out-dir", str(out),
+                    ],
+                    env=env,
+                    check=True,
+                    capture_output=True,
+                )
+            outputs.append(
+                ((out / "heatmaps.jsonl").read_bytes(), (out / "metrics.json").read_bytes())
             )
-            assert code == 0
-            payloads.append((out / "heatmaps.jsonl").read_bytes())
-        assert payloads[0] == payloads[1]
+        assert outputs[0] == outputs[1]

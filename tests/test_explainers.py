@@ -5,6 +5,7 @@ from conftest import manual_params, positive_instance, random_instance, single_n
 from gcnx.explainers import (
     METHODS,
     Heatmap,
+    MoleculeExplanations,
     cam,
     compute_heatmap,
     excitation_backprop_trace,
@@ -14,6 +15,7 @@ from gcnx.explainers import (
     grad_cam_avg,
     gradient_saliency,
     normalize_pair,
+    _perceptron_terms,
 )
 from gcnx.graphs import AttributedGraph
 from gcnx.model import forward, init_params, score_gradients
@@ -203,6 +205,79 @@ class TestExcitationBackprop:
             for contrastive in (False, True):
                 h = excitation_bp(t, m.graph, p, c, contrastive=contrastive)
                 assert np.all(h.values >= 0.0)
+
+
+class TestMoleculeExplanations:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_eb_and_ceb_equal_standalone_passes(self, seed):
+        g, p = random_instance(seed=300 + seed, widths=(16, 32, 64), positive_features=True)
+        t = forward(g, p)
+        source = MoleculeExplanations(g, p, t)
+        for c in (0, 1):
+            base = excitation_backprop_trace(t, g, p, c).heatmap_values
+            opposite = excitation_backprop_trace(t, g, p, c, negate_classifier=True).heatmap_values
+            diff = np.maximum(base - opposite, 0.0)
+            expected_ceb = diff / diff.sum() if diff.sum() > 0.0 else diff
+            assert np.array_equal(source.heatmap("eb", c).values, base)
+            assert np.array_equal(source.heatmap("ceb", c).values, expected_ceb)
+            assert np.array_equal(
+                excitation_bp(t, g, p, c, contrastive=True).values, expected_ceb
+            )
+
+    def test_shared_perceptron_terms_change_nothing(self):
+        g, p = random_instance(seed=310)
+        t = forward(g, p)
+        terms = _perceptron_terms(t, p)
+        for negate in (False, True):
+            a = excitation_backprop_trace(t, g, p, 1, negate)
+            b = excitation_backprop_trace(t, g, p, 1, negate, perceptron_terms=terms)
+            for x, y in zip(a.p_activations + a.p_propagated, b.p_activations + b.p_propagated):
+                assert np.array_equal(x, y)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_gradient_methods_equal_per_class_backprop(self, seed):
+        g, p = random_instance(seed=320 + seed, widths=(16, 32, 64))
+        t = forward(g, p)
+        source = MoleculeExplanations(g, p, t)
+        for c in (0, 1):
+            grads = score_gradients(t, g, p, c)
+            clamped = np.maximum(grads.input, 0.0)
+            expected = np.sqrt((clamped * clamped).sum(axis=1))
+            assert np.max(np.abs(source.heatmap("gradient", c).values - expected)) <= 1e-12
+            for layer in (1, 2, 3):
+                alpha = grads.activations[layer].mean(axis=0)
+                expected = np.maximum(t.activations[layer] @ alpha, 0.0)
+                values = source.heatmap("grad_cam", c, layer).values
+                assert np.max(np.abs(values - expected)) <= 1e-12
+
+    def test_each_quantity_computed_once(self, monkeypatch):
+        import gcnx.explainers as explainers
+
+        calls = {"backprop": 0, "eb": 0}
+        real_backprop = explainers.class_score_gradients
+        real_eb = explainers.excitation_backprop_trace
+
+        def counting_backprop(*args, **kwargs):
+            calls["backprop"] += 1
+            return real_backprop(*args, **kwargs)
+
+        def counting_eb(*args, **kwargs):
+            calls["eb"] += 1
+            return real_eb(*args, **kwargs)
+
+        monkeypatch.setattr(explainers, "class_score_gradients", counting_backprop)
+        monkeypatch.setattr(explainers, "excitation_backprop_trace", counting_eb)
+        g, p = random_instance(seed=330, widths=(4, 5, 6))
+        requests = [(m, None) for m in METHODS] + [("grad_cam", 1), ("grad_cam", 2)]
+        source = MoleculeExplanations(g, p)
+        pairs = [explain_pair(g, p, m, layer, source=source) for m, layer in requests]
+        assert calls == {"backprop": 1, "eb": 4}
+        t = forward(g, p)
+        for (method, layer), pair in zip(requests, pairs):
+            expected = explain_pair(g, p, method, layer=layer, trace=t)
+            for got, want in zip(pair, expected):
+                assert np.array_equal(got.values, want.values)
+                assert got.layer == want.layer and got.normalized == want.normalized
 
 
 class TestNormalizePair:

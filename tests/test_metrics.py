@@ -7,6 +7,8 @@ from conftest import manual_params, random_instance
 from gcnx.graphs import AttributedGraph, ElementLabel
 from gcnx.metrics import binarize, contrastivity, fidelity, metric_suite, sparsity
 
+from _oracles import reference_metric_suite
+
 
 class TestContrastivity:
     def test_identical_masks(self):
@@ -135,6 +137,63 @@ class TestMetricSuite:
             assert 0.0 <= report.sparsity_mean <= 100.0
             assert report.contrastivity_std >= 0.0
             assert report.sparsity_std >= 0.0
+
+
+class TestMetricSuiteReference:
+    METHODS = ["gradient", "cam", "grad_cam", "grad_cam_avg", "eb", "ceb", "null"]
+
+    @staticmethod
+    def desk_dataset(seed, n_molecules=6):
+        g, p = random_instance(seed=seed, widths=(16, 32, 64), positive_features=True)
+        rng = np.random.default_rng(seed)
+        data = [(g, int(rng.integers(0, 2)))]
+        for k in range(1, n_molecules):
+            gk, _ = random_instance(
+                seed=1000 * seed + k, d_in=g.feature_dim, positive_features=True
+            )
+            data.append((gk, int(rng.integers(0, 2))))
+        return p, data
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_equals_loop_level_reference(self, seed):
+        p, data = self.desk_dataset(seed)
+        for threshold in (0.01, 0.05):
+            got = [r.to_dict() for r in metric_suite(p, data, self.METHODS, threshold)]
+            want = reference_metric_suite(p, data, self.METHODS, threshold)
+            for g, w in zip(got, want):
+                assert g.keys() == w.keys()
+                for key in g:
+                    if isinstance(g[key], float):
+                        assert abs(g[key] - w[key]) <= 1e-12, (g["method"], key)
+                    else:
+                        assert g[key] == w[key], (g["method"], key)
+
+    def test_fidelity_equals_suite(self):
+        p, data = self.desk_dataset(7)
+        reports = metric_suite(p, data, self.METHODS)
+        for report in reports:
+            assert fidelity(p, data, report.method) == report.fidelity
+
+    def test_one_forward_per_molecule_plus_distinct_masks(self, monkeypatch):
+        import gcnx.explainers as explainers
+        import gcnx.metrics as metrics
+        from gcnx.model import forward
+
+        calls = []
+
+        def counting_forward(graph, params):
+            calls.append(graph)
+            return forward(graph, params)
+
+        monkeypatch.setattr(metrics, "forward", counting_forward)
+        monkeypatch.setattr(explainers, "forward", counting_forward)
+        p, data = self.desk_dataset(8, n_molecules=4)
+        reference_graphs = {id(g) for g, _ in data}
+        metric_suite(p, data, self.METHODS)
+        plain = sum(id(g) in reference_graphs for g in calls)
+        occluded = len(calls) - plain
+        assert plain == len(data)
+        assert occluded <= len(data) * (len(self.METHODS) - 1)  # null never occludes
 
 
 class TestBinarize:

@@ -10,6 +10,7 @@ from gcnx.model import (
     TrainConfig,
     TrainingError,
     checkpoint_from_json,
+    class_score_gradients,
     checkpoint_to_json,
     cross_entropy,
     evaluate,
@@ -162,6 +163,19 @@ class TestBackward:
             fd_w = central_difference(f_w, p.layer_weights[l].copy())
             assert max_relative_error(grads.layer_weights[l], fd_w) < 1e-5
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_stacked_class_gradients_equal_per_class(self, seed):
+        widths = (16, 32, 64) if seed % 2 else None
+        g, p = random_instance(seed=seed, widths=widths, n_classes=2 + seed % 3)
+        t = forward(g, p)
+        stacked = class_score_gradients(t, g, p)
+        assert len(stacked) == p.n_layers + 1
+        for c in range(p.n_classes):
+            single = score_gradients(t, g, p, c).activations
+            for l in range(p.n_layers + 1):
+                assert stacked[l].shape == (p.n_classes,) + single[l].shape
+                assert np.max(np.abs(stacked[l][c] - single[l])) <= 1e-12
+
     def test_stale_trace_rejected(self):
         g, p = random_instance(seed=7, n_nodes=5)
         g2, _ = random_instance(seed=8, n_nodes=6, d_in=g.feature_dim)
@@ -248,6 +262,15 @@ class TestTraining:
         from gcnx.model import _accuracy
 
         assert _accuracy(result.params, data) == 1.0
+
+    def test_validation_ties_go_to_latest_epoch(self):
+        # all-zero features give a uniform softmax, so argmax is class 0 at
+        # every epoch and validation accuracy never changes
+        cfg = TrainConfig(epochs=5, layer_sizes=(4,), seed=2, learning_rate=0.01)
+        validation = [(single_node_graph([0.0, 0.0]), 0)]
+        result = train(separable_toy_set(), cfg, validation=validation)
+        assert {r["val_accuracy"] for r in result.history} == {1.0}
+        assert result.best_epoch == cfg.epochs - 1
 
 
 class TestEvaluate:
