@@ -3,6 +3,13 @@
 Every artifact embeds the tool version, a hash of the effective
 configuration, and the seed; payloads carry no timestamps, so identical
 configurations produce byte-identical outputs.
+
+explain, metrics and mine each make one pass over the molecules and build
+one explainers.MoleculeExplanations per molecule. explain writes each
+molecule's records, and with --render its depictions, before it moves to
+the next. Bad --methods names, a negative --top-k and, with --render, a
+molecule id that is not a single file-name component are usage errors
+(exit 2), raised before any artifact is written.
 """
 
 from __future__ import annotations
@@ -92,14 +99,6 @@ def write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def model_graphs(dataset: LabeledSet, scheme):
-    """Featurize molecules under the checkpoint's scheme."""
-    return [
-        (mol_id, featurize(molecule, scheme), label)
-        for mol_id, molecule, label in dataset.entries
-    ]
-
-
 # ---------------------------------------------------------------- train
 
 
@@ -174,71 +173,67 @@ def _parse_layers(raw: str | None, n_layers: int) -> list[int]:
     return layers
 
 
+def _parse_methods(raw: str) -> list[str]:
+    """--methods names: METHODS plus the diagnostic null explainer."""
+    methods = [m.strip() for m in raw.split(",") if m.strip()]
+    unknown = [m for m in methods if m not in METHODS + ("null",)]
+    if unknown:
+        raise ConfigurationError(
+            f"unknown method(s) {', '.join(unknown)}; choose from {', '.join(METHODS)} or null"
+        )
+    return methods
+
+
+def _check_render_id(mol_id: str) -> None:
+    """--render names files after molecule ids, so each id must be a single
+    file-name component."""
+    if mol_id in (".", "..") or any(c in mol_id for c in "/\\\0"):
+        raise DataError(
+            f"molecule id {mol_id!r} cannot name a render file: it must not "
+            "contain '/', '\\' or NUL, nor be '.' or '..'"
+        )
+
+
 def cmd_explain(args) -> int:
     config = effective_config(args, "explain")
+    methods = _parse_methods(args.methods)
     params, _, scheme, _ = load_checkpoint(args.checkpoint)
     dataset = load_data(args)
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     layers = _parse_layers(args.layers_list, params.n_layers)
-    graphs = model_graphs(dataset, scheme)
-
-    os.makedirs(args.out_dir, exist_ok=True)
+    if args.render:
+        for mol_id, _, _ in dataset.entries:
+            _check_render_id(mol_id)
+    render_dir = os.path.join(args.out_dir, "render")
+    os.makedirs(render_dir if args.render else args.out_dir, exist_ok=True)
     records_path = os.path.join(args.out_dir, "heatmaps.jsonl")
 
-    def explain_one(entry):
-        (mol_id, graph, _), molecule = entry
-        # every pair of the molecule shares this source's gradients and EB passes
-        source = MoleculeExplanations(graph, params)
-        records = []
-        rendered = {}
-        for method in methods:
-            method_layers = layers if method == "grad_cam" else [None]
-            for layer in method_layers:
-                h_pos, h_neg = explain_pair(
-                    graph, params, method, layer=layer, source=source
-                )
-                for heat in (h_neg, h_pos):
-                    records.append(
-                        heat.to_record(mol_id, molecule.source_string)
-                    )
-                rendered[(method, layer)] = {
-                    0: h_neg.values,
-                    1: h_pos.values,
-                }
-        return records, rendered
-
-    entries = [
-        ((mol_id, graph, label), molecule)
-        for (mol_id, graph, label), (_, molecule, _) in zip(graphs, dataset.entries)
-    ]
-    results = [explain_one(entry) for entry in entries]
-
+    n_records = 0
     with open(records_path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps({"header": artifact_header(config)}) + "\n")
-        for records, _ in results:
-            for record in records:
-                fh.write(json.dumps(record) + "\n")
+        for mol_id, molecule, _ in dataset.entries:
+            # every pair of the molecule shares this source's gradients and EB passes
+            source = MoleculeExplanations(featurize(molecule, scheme), params)
+            if args.render:
+                positions = layout_molecule(molecule, seed=args.seed)
+            for method in methods:
+                for layer in layers if method == "grad_cam" else [None]:
+                    h_pos, h_neg = explain_pair(source, method, layer)
+                    for heat in (h_neg, h_pos):
+                        record = heat.to_record(mol_id, molecule.source_string)
+                        fh.write(json.dumps(record) + "\n")
+                    n_records += 2
+                    if args.render:
+                        suffix = method + (f"-l{layer}" if layer is not None else "")
+                        stem = os.path.join(render_dir, f"{mol_id}-{suffix}")
+                        values_by_class = {0: h_neg.values, 1: h_pos.values}
+                        svg = molecule_svg(
+                            molecule, values_by_class, positions, title=f"{mol_id} {suffix}"
+                        )
+                        with open(stem + ".svg", "w", encoding="utf-8") as out:
+                            out.write(svg)
+                        with open(stem + ".dot", "w", encoding="utf-8") as out:
+                            out.write(molecule_dot(molecule, values_by_class))
 
-    if args.render:
-        render_dir = os.path.join(args.out_dir, "render")
-        os.makedirs(render_dir, exist_ok=True)
-        for ((mol_id, _, _), molecule), (_, rendered) in zip(entries, results):
-            positions = layout_molecule(molecule, seed=args.seed)
-            for (method, layer), values_by_class in rendered.items():
-                suffix = f"{method}" + (f"-l{layer}" if layer is not None else "")
-                stem = os.path.join(render_dir, f"{mol_id}-{suffix}")
-                svg = molecule_svg(
-                    molecule,
-                    values_by_class,
-                    positions,
-                    title=f"{mol_id} {suffix}",
-                )
-                with open(stem + ".svg", "w", encoding="utf-8") as fh:
-                    fh.write(svg)
-                with open(stem + ".dot", "w", encoding="utf-8") as fh:
-                    fh.write(molecule_dot(molecule, values_by_class))
-
-    n_records = sum(len(records) for records, _ in results)
     print(f"wrote {n_records} heatmap records to {records_path}")
     return EXIT_OK
 
@@ -248,10 +243,10 @@ def cmd_explain(args) -> int:
 
 def cmd_metrics(args) -> int:
     config = effective_config(args, "metrics")
+    methods = _parse_methods(args.methods)
     params, _, scheme, _ = load_checkpoint(args.checkpoint)
     dataset = load_data(args)
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    data = [(graph, label) for _, graph, label in model_graphs(dataset, scheme)]
+    data = [(featurize(molecule, scheme), label) for _, molecule, label in dataset.entries]
     reports = metric_suite(params, data, methods, threshold=args.fidelity_threshold)
 
     os.makedirs(args.out_dir, exist_ok=True)
@@ -286,21 +281,20 @@ def cmd_metrics(args) -> int:
 
 def cmd_mine(args) -> int:
     config = effective_config(args, "mine")
+    if args.top_k < 0:
+        raise ConfigurationError(f"--top-k must be nonnegative, got {args.top_k}")
     params, _, scheme, _ = load_checkpoint(args.checkpoint)
     dataset = load_data(args)
-    graphs = model_graphs(dataset, scheme)
 
-    def explain_one(item):
-        mol_id, graph, _ = item
+    predictions = {}
+    heatmaps = {}
+    for mol_id, molecule, _ in dataset.entries:
+        graph = featurize(molecule, scheme)
         trace = forward(graph, params)
         predicted = int(np.argmax(trace.probabilities))
-        h_pos, h_neg = explain_pair(graph, params, "grad_cam", trace=trace)
-        heat = h_pos if predicted == 1 else h_neg
-        return mol_id, predicted, heat.values
-
-    explained = [explain_one(item) for item in graphs]
-    predictions = {mol_id: predicted for mol_id, predicted, _ in explained}
-    heatmaps = {mol_id: values for mol_id, _, values in explained}
+        h_pos, h_neg = explain_pair(MoleculeExplanations(graph, params, trace), "grad_cam")
+        predictions[mol_id] = predicted
+        heatmaps[mol_id] = (h_pos if predicted == 1 else h_neg).values
 
     records = mine(
         dataset.entries,

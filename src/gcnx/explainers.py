@@ -6,11 +6,13 @@ extension. All methods read the pre-softmax class score, and all values are
 nonnegative by construction. Heatmaps for the two classes of one molecule
 are normalized jointly so they form a single probability distribution.
 
-Every method reads one MoleculeExplanations per molecule, which computes
-each quantity once: one forward trace, one backward pass stacked over the
-classes for the gradient methods, and at most four excitation passes (base
-and negated classifier, per class) shared by eb and ceb. Callers that want
-several pairs of one molecule pass the same source to explain_pair.
+MoleculeExplanations is the one way to ask for a heatmap. It is built per
+molecule and computes each quantity once: one forward trace, one backward
+pass stacked over the classes for the gradient methods, and at most four
+excitation passes (base and negated classifier, per class) shared by eb and
+ceb. explain_pair reads a normalized class pair from it, so every pair
+asked of one source shares that work. excitation_backprop_trace keeps every
+intermediate mass of one pass, for conservation checks.
 """
 
 from __future__ import annotations
@@ -45,39 +47,6 @@ class Heatmap:
             "values": [round(float(v), digits) for v in self.values],
             "normalized": self.normalized,
         }
-
-
-def gradient_saliency(
-    trace: ForwardTrace, graph: AttributedGraph, params: ModelParams, class_id: int
-) -> Heatmap:
-    """Euclidean norm of the positive part of d(score)/d(node features)."""
-    return MoleculeExplanations(graph, params, trace).heatmap("gradient", class_id)
-
-
-def cam(trace: ForwardTrace, params: ModelParams, class_id: int) -> Heatmap:
-    """Final-layer feature maps weighted by the classifier column."""
-    values = np.maximum(
-        trace.activations[-1] @ params.classifier_weights[:, class_id], 0.0
-    )
-    return Heatmap(method="cam", class_id=class_id, values=values)
-
-
-def grad_cam(
-    trace: ForwardTrace,
-    graph: AttributedGraph,
-    params: ModelParams,
-    class_id: int,
-    layer: int | None = None,
-) -> Heatmap:
-    """Layer features weighted by node-averaged score gradients."""
-    return MoleculeExplanations(graph, params, trace).heatmap("grad_cam", class_id, layer)
-
-
-def grad_cam_avg(
-    trace: ForwardTrace, graph: AttributedGraph, params: ModelParams, class_id: int
-) -> Heatmap:
-    """Arithmetic mean of Grad-CAM heatmaps over all convolution layers."""
-    return MoleculeExplanations(graph, params, trace).heatmap("grad_cam_avg", class_id)
 
 
 # ------------------------------------------------------- excitation backprop
@@ -175,20 +144,6 @@ def excitation_backprop_trace(
     )
 
 
-def excitation_bp(
-    trace: ForwardTrace,
-    graph: AttributedGraph,
-    params: ModelParams,
-    class_id: int,
-    contrastive: bool = False,
-) -> Heatmap:
-    """Excitation backprop heatmap; the contrastive variant runs a second
-    pass with the classifier column negated and keeps the positive part of
-    the difference, rescaled to unit mass."""
-    method = "ceb" if contrastive else "eb"
-    return MoleculeExplanations(graph, params, trace).heatmap(method, class_id)
-
-
 # ------------------------------------------------------ per-molecule source
 
 
@@ -245,13 +200,22 @@ class MoleculeExplanations:
 
     def heatmap(self, method: str, class_id: int, layer: int | None = None) -> Heatmap:
         """One class's heatmap; layer applies to grad_cam only (default: the
-        final layer)."""
+        final layer).
+
+        gradient is the norm of the positive part of d(score)/d(features);
+        cam weights the final-layer features by the classifier column;
+        grad_cam weights one layer's features by their node-averaged score
+        gradients, and grad_cam_avg is its mean over all layers; ceb keeps
+        the positive part of the eb pass minus the pass with the classifier
+        negated, rescaled to unit mass; null is a diagnostic that marks
+        nothing."""
         trace = self.trace
         if method == "gradient":
             clamped = np.maximum(self._activation_gradients(class_id)[0], 0.0)
             values = np.sqrt((clamped * clamped).sum(axis=1))
         elif method == "cam":
-            return cam(trace, self.params, class_id)
+            column = self.params.classifier_weights[:, class_id]
+            values = np.maximum(trace.activations[-1] @ column, 0.0)
         elif method == "grad_cam":
             n_layers = trace.n_layers
             if layer is None:
@@ -274,7 +238,7 @@ class MoleculeExplanations:
             total = values.sum()
             if total > 0.0:
                 values = values / total
-        elif method == "null":  # diagnostic explainer that marks nothing
+        elif method == "null":
             values = np.zeros(trace.n_nodes)
         else:
             raise ValueError(f"unknown explanation method {method!r}")
@@ -300,33 +264,13 @@ def normalize_pair(h_pos: Heatmap, h_neg: Heatmap) -> tuple[Heatmap, Heatmap]:
     )
 
 
-def compute_heatmap(
-    trace: ForwardTrace,
-    graph: AttributedGraph,
-    params: ModelParams,
-    method: str,
-    class_id: int,
-    layer: int | None = None,
-) -> Heatmap:
-    return MoleculeExplanations(graph, params, trace).heatmap(method, class_id, layer)
-
-
 def explain_pair(
-    graph: AttributedGraph,
-    params: ModelParams,
-    method: str,
-    layer: int | None = None,
-    trace: ForwardTrace | None = None,
-    source: MoleculeExplanations | None = None,
+    source: MoleculeExplanations, method: str, layer: int | None = None
 ) -> tuple[Heatmap, Heatmap]:
     """Normalized (positive-class, negative-class) heatmap pair.
 
-    Class 1 is treated as the positive class throughout the pipeline. A
-    source built for this graph and these parameters shares its gradients
-    and excitation passes with the other pairs asked of it."""
-    if source is None:
-        source = MoleculeExplanations(graph, params, trace)
+    Class 1 is treated as the positive class throughout the pipeline. Pairs
+    asked of the same source share its gradients and excitation passes."""
     return normalize_pair(
         source.heatmap(method, 1, layer), source.heatmap(method, 0, layer)
     )
-

@@ -69,7 +69,7 @@ def _explain_molecule(graph, label, params, requests, threshold) -> list[_Outcom
     after_by_mask = {}
     outcomes = []
     for method, layer in requests:
-        h_pos, h_neg = explain_pair(graph, params, method, layer, source=source)
+        h_pos, h_neg = explain_pair(source, method, layer)
         masks = (binarize(h_pos, threshold), binarize(h_neg, threshold))
         mask = masks[0] if predicted == 1 else masks[1]
         key = mask.tobytes()

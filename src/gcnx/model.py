@@ -39,7 +39,6 @@ class TrainConfig:
     layer_sizes: tuple[int, ...] = (128, 256, 512)
     seed: int = 0
     class_weighting: bool = True
-    batch_size: int = 1
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -58,12 +57,14 @@ class TrainConfig:
             "layer_sizes": list(self.layer_sizes),
             "seed": self.seed,
             "class_weighting": self.class_weighting,
-            "batch_size": self.batch_size,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
         d = dict(d)
+        # older checkpoints record the removed minibatch size, which was always 1
+        if d.pop("batch_size", 1) != 1:
+            raise ConfigurationError("train_config.batch_size must be 1 if present")
         d["layer_sizes"] = tuple(d["layer_sizes"])
         return cls(**d)
 
@@ -372,28 +373,15 @@ def train(
     history: list[dict] = []
     best: tuple[float, int] | None = None
     best_params: ModelParams | None = None
-    batch = max(1, cfg.batch_size)
     for epoch in range(cfg.epochs):
         order = rng.permutation(len(dataset))
         total_loss = 0.0
-        for start in range(0, len(order), batch):
-            chunk = order[start : start + batch]
-            grad_sum = [np.zeros_like(t) for t in tensors]
-            for idx in chunk:
-                graph, label = dataset[idx]
-                trace = forward(graph, params)
-                loss, grads = loss_gradients(
-                    trace, graph, params, label, weights[label]
-                )
-                total_loss += loss
-                for acc, g in zip(
-                    grad_sum, grads.layer_weights + [grads.classifier_weights]
-                ):
-                    acc += g
-            if len(chunk) > 1:
-                for acc in grad_sum:
-                    acc /= len(chunk)
-            optimizer.step(tensors, grad_sum)
+        for idx in order:
+            graph, label = dataset[idx]
+            trace = forward(graph, params)
+            loss, grads = loss_gradients(trace, graph, params, label, weights[label])
+            total_loss += loss
+            optimizer.step(tensors, grads.layer_weights + [grads.classifier_weights])
         record = {
             "epoch": epoch,
             "loss": total_loss / len(dataset),

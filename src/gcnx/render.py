@@ -40,6 +40,12 @@ def layout_molecule(molecule: Molecule, seed: int = 0, iterations: int = 200) ->
     return MARGIN + scaled * (CANVAS - 2.0 * MARGIN)
 
 
+def _escape(text: str) -> str:
+    """XML character data; a local helper, because xml.sax.saxutils pulls in
+    urllib.request and its dependencies on import."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _fmt(x: float) -> str:
     return f"{x:.2f}"
 
@@ -66,7 +72,8 @@ def molecule_svg(
     positions: np.ndarray,
     title: str = "",
 ) -> str:
-    """One panel per class, blue disk intensity proportional to saliency."""
+    """One panel per class, blue disk intensity proportional to saliency.
+    The title is XML-escaped."""
     panels = sorted(values_by_class)
     width = CANVAS * len(panels)
     parts = [
@@ -75,7 +82,7 @@ def molecule_svg(
     ]
     if title:
         parts.append(
-            f'<text x="6" y="14" font-size="12" font-family="monospace">{title}</text>'
+            f'<text x="6" y="14" font-size="12" font-family="monospace">{_escape(title)}</text>'
         )
     for panel_index, class_id in enumerate(panels):
         values = np.asarray(values_by_class[class_id], dtype=float)

@@ -13,7 +13,12 @@ import pytest
 from conftest import positive_instance, random_instance
 from gcnx.cli import main as cli_main
 from gcnx.datasets import load_csv, synth_motif_set
-from gcnx.explainers import METHODS, excitation_backprop_trace, explain_pair
+from gcnx.explainers import (
+    METHODS,
+    MoleculeExplanations,
+    excitation_backprop_trace,
+    explain_pair,
+)
 from gcnx.graphs import AttributedGraph, ElementLabel
 from gcnx.metrics import metric_suite
 from gcnx.mining import (
@@ -139,17 +144,15 @@ def test_cam_grad_cam_equivalence():
         graph, params = random_instance(
             seed=int(rng.integers(0, 2**31)), positive_features=True
         )
-        trace = forward(graph, params)
-        cam_pair = explain_pair(graph, params, "cam", trace=trace)
-        gc_pair = explain_pair(graph, params, "grad_cam", trace=trace)
+        source = MoleculeExplanations(graph, params, forward(graph, params))
+        cam_pair = explain_pair(source, "cam")
+        gc_pair = explain_pair(source, "grad_cam")
         for h_cam, h_gc in zip(cam_pair, gc_pair):
             assert np.max(np.abs(h_cam.values - h_gc.values)) < 1e-10
         # raw maps are exactly proportional with ratio N (the GAP width)
-        from gcnx.explainers import cam as cam_fn, grad_cam as grad_cam_fn
-
         for class_id in (0, 1):
-            raw_cam = cam_fn(trace, params, class_id).values
-            raw_gc = grad_cam_fn(trace, graph, params, class_id).values
+            raw_cam = source.heatmap("cam", class_id).values
+            raw_gc = source.heatmap("grad_cam", class_id).values
             assert np.max(np.abs(raw_gc * graph.n_nodes - raw_cam)) < 1e-10
 
 
@@ -196,8 +199,8 @@ def test_permutation_equivariance():
             node_elements=tuple(graph.node_elements[i] for i in perm),
         )
         for method in METHODS:
-            pair = explain_pair(graph, params, method)
-            pair_perm = explain_pair(permuted, params, method)
+            pair = explain_pair(MoleculeExplanations(graph, params), method)
+            pair_perm = explain_pair(MoleculeExplanations(permuted, params), method)
             for h, hp in zip(pair, pair_perm):
                 assert np.allclose(hp.values, h.values[perm], atol=1e-12)
 

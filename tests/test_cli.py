@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 
 import pytest
 
@@ -133,6 +134,95 @@ class TestExplain:
         assert "<svg" in sample and "circle" in sample
 
 
+    @pytest.mark.parametrize("mol_id", ["sub/x", "a\\b", "../x", ".", "..", "x\0y"])
+    def test_unsafe_render_id_rejected_before_writing(self, trained, tmp_path, capsys, mol_id):
+        data = tmp_path / "ids.csv"
+        data.write_text(f"id,smiles,label\nok,CCO,1\n{mol_id},CCN,0\n", encoding="utf-8")
+        out = tmp_path / "out"
+        code = main(
+            [
+                "explain",
+                "--data", str(data),
+                "--id-column", "id",
+                "--checkpoint", str(trained / "checkpoint.json"),
+                "--methods", "grad_cam",
+                "--out-dir", str(out),
+                "--render",
+            ]
+        )
+        assert code == 2
+        assert "render file" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unsafe_id_allowed_without_render(self, trained, tmp_path):
+        data = tmp_path / "ids.csv"
+        data.write_text("id,smiles,label\nsub/x,CCO,1\n", encoding="utf-8")
+        out = tmp_path / "out"
+        code = main(
+            [
+                "explain",
+                "--data", str(data),
+                "--id-column", "id",
+                "--checkpoint", str(trained / "checkpoint.json"),
+                "--methods", "grad_cam",
+                "--out-dir", str(out),
+            ]
+        )
+        assert code == 0
+        assert read_jsonl(out / "heatmaps.jsonl")[1]["molecule_id"] == "sub/x"
+
+    def test_render_title_escaped(self, trained, tmp_path):
+        data = tmp_path / "ids.csv"
+        data.write_text('id,smiles,label\n"a&b<c",CCO,1\n', encoding="utf-8")
+        out = tmp_path / "out"
+        code = main(
+            [
+                "explain",
+                "--data", str(data),
+                "--id-column", "id",
+                "--checkpoint", str(trained / "checkpoint.json"),
+                "--methods", "grad_cam",
+                "--out-dir", str(out),
+                "--render",
+            ]
+        )
+        assert code == 0
+        root = ET.parse(out / "render" / "a&b<c-grad_cam-l2.svg").getroot()
+        title = root.find("{http://www.w3.org/2000/svg}text")
+        assert title.text == "a&b<c grad_cam-l2"
+
+    def test_unknown_method_exit_2(self, trained, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(
+            [
+                "explain",
+                "--data", "synth:NO:4",
+                "--checkpoint", str(trained / "checkpoint.json"),
+                "--methods", "grad_cam,bogus",
+                "--out-dir", str(out),
+            ]
+        )
+        assert code == 2
+        assert "bogus" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_checkpoint_with_batch_size_4_exit_2(self, trained, tmp_path, capsys):
+        payload = json.loads((trained / "checkpoint.json").read_text())
+        payload["train_config"]["batch_size"] = 4
+        checkpoint = tmp_path / "checkpoint.json"
+        checkpoint.write_text(json.dumps(payload), encoding="utf-8")
+        code = main(
+            [
+                "explain",
+                "--data", "synth:NO:4",
+                "--checkpoint", str(checkpoint),
+                "--out-dir", str(tmp_path / "out"),
+            ]
+        )
+        assert code == 2
+        assert "batch_size" in capsys.readouterr().err
+
+
 class TestMetrics:
     def test_table_shape(self, trained, tmp_path):
         out = tmp_path / "out"
@@ -168,6 +258,21 @@ class TestMetrics:
         assert code == 0
         payload = json.loads((out / "metrics.json").read_text())
         assert payload["reports"][0]["fidelity"] == 0.0
+
+    def test_unknown_method_exit_2(self, trained, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(
+            [
+                "metrics",
+                "--data", "synth:NO:4",
+                "--checkpoint", str(trained / "checkpoint.json"),
+                "--methods", "bogus",
+                "--out-dir", str(out),
+            ]
+        )
+        assert code == 2
+        assert "bogus" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_same_seed_identical_reports(self, trained, tmp_path):
         outs = []
@@ -229,6 +334,22 @@ class TestMine:
         payload = json.loads((out / "mining.json").read_text())
         assert payload["records"] == []
         assert payload["average_r_p"] is None
+
+
+    def test_negative_top_k_exit_2(self, trained, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(
+            [
+                "mine",
+                "--data", "synth:NO:8",
+                "--checkpoint", str(trained / "checkpoint.json"),
+                "--top-k", "-1",
+                "--out-dir", str(out),
+            ]
+        )
+        assert code == 2
+        assert "--top-k" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestParsing:

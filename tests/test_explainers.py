@@ -6,14 +6,8 @@ from gcnx.explainers import (
     METHODS,
     Heatmap,
     MoleculeExplanations,
-    cam,
-    compute_heatmap,
     excitation_backprop_trace,
-    excitation_bp,
     explain_pair,
-    grad_cam,
-    grad_cam_avg,
-    gradient_saliency,
     normalize_pair,
     _perceptron_terms,
 )
@@ -28,7 +22,7 @@ class TestGradientSaliency:
         g = single_node_graph([1.0, 2.0])
         p = manual_params([np.zeros((2, 3))], np.ones((3, 2)))
         t = forward(g, p)
-        h = gradient_saliency(t, g, p, 0)
+        h = MoleculeExplanations(g, p, t).heatmap("gradient", 0)
         assert np.all(h.values == 0.0)
 
     def test_single_node_linear_regime(self):
@@ -37,14 +31,14 @@ class TestGradientSaliency:
         g = single_node_graph([2.0, 3.0])
         p = manual_params([w], wc)
         t = forward(g, p)
-        h = gradient_saliency(t, g, p, 0)
+        h = MoleculeExplanations(g, p, t).heatmap("gradient", 0)
         expected = np.linalg.norm(np.maximum(w @ wc[:, 0], 0.0))
         assert h.values[0] == pytest.approx(expected, abs=1e-14)
 
     def test_matches_clamped_finite_differences(self):
         g, p = random_instance(seed=71, min_margin=1e-4)
         t = forward(g, p)
-        h = gradient_saliency(t, g, p, 1)
+        h = MoleculeExplanations(g, p, t).heatmap("gradient", 1)
 
         def f(x):
             return forward(g.with_features(x), p).scores[1]
@@ -57,7 +51,7 @@ class TestGradientSaliency:
         g, p = random_instance(seed=72)
         t = forward(g, p)
         grads = score_gradients(t, g, p, 0)
-        h = gradient_saliency(t, g, p, 0)
+        h = MoleculeExplanations(g, p, t).heatmap("gradient", 0)
         dead = np.all(grads.input <= 0.0, axis=1)
         assert np.all(h.values[dead] == 0.0)
 
@@ -67,13 +61,13 @@ class TestCam:
         g = single_node_graph([0.0, 0.0])
         p = init_params(2, (3,), seed=4)
         t = forward(g, p)
-        assert np.all(cam(t, p, 0).values == 0.0)
+        assert np.all(MoleculeExplanations(g, p, t).heatmap("cam", 0).values == 0.0)
 
     def test_single_feature_identity_weight(self):
         g, _ = random_instance(seed=73, n_nodes=4, d_in=3)
         p = manual_params([np.abs(np.random.default_rng(0).normal(size=(3, 1)))], [[1.0, -1.0]])
         t = forward(g, p)
-        h = cam(t, p, 0)
+        h = MoleculeExplanations(g, p, t).heatmap("cam", 0)
         assert np.allclose(h.values, np.maximum(t.activations[-1][:, 0], 0.0))
 
     def test_node_average_recovers_class_score(self):
@@ -89,31 +83,31 @@ class TestGradCam:
         for seed in range(5):
             g, p = random_instance(seed=800 + seed)
             t = forward(g, p)
-            cam_pair = explain_pair(g, p, "cam", trace=t)
-            gc_pair = explain_pair(g, p, "grad_cam", trace=t)
+            cam_pair = explain_pair(MoleculeExplanations(g, p, t), "cam")
+            gc_pair = explain_pair(MoleculeExplanations(g, p, t), "grad_cam")
             for hc, hg in zip(cam_pair, gc_pair):
                 assert np.max(np.abs(hc.values - hg.values)) < 1e-10
 
     def test_final_layer_proportional_to_cam_raw(self):
         g, p = random_instance(seed=81)
         t = forward(g, p)
-        h_cam = cam(t, p, 1)
-        h_gc = grad_cam(t, g, p, 1)
+        h_cam = MoleculeExplanations(g, p, t).heatmap("cam", 1)
+        h_gc = MoleculeExplanations(g, p, t).heatmap("grad_cam", 1)
         assert np.allclose(h_gc.values * g.n_nodes, h_cam.values, atol=1e-12)
 
     def test_zero_gradients_zero_heatmap(self):
         g = single_node_graph([1.0, 1.0])
         p = manual_params([np.eye(2)], np.zeros((2, 2)))
         t = forward(g, p)
-        assert np.all(grad_cam(t, g, p, 0, layer=1).values == 0.0)
+        assert np.all(MoleculeExplanations(g, p, t).heatmap("grad_cam", 0, 1).values == 0.0)
 
     def test_layer_out_of_range(self):
         g, p = random_instance(seed=82)
         t = forward(g, p)
         with pytest.raises(ValueError):
-            grad_cam(t, g, p, 0, layer=0)
+            MoleculeExplanations(g, p, t).heatmap("grad_cam", 0, 0)
         with pytest.raises(ValueError):
-            grad_cam(t, g, p, 0, layer=p.n_layers + 1)
+            MoleculeExplanations(g, p, t).heatmap("grad_cam", 0, p.n_layers + 1)
 
     @pytest.mark.parametrize("seed", [83, 84])
     def test_alpha_matches_finite_differences(self, seed):
@@ -135,16 +129,16 @@ class TestGradCamAvg:
     def test_single_layer_equals_grad_cam(self):
         g, p = random_instance(seed=85, widths=(5,))
         t = forward(g, p)
-        avg = grad_cam_avg(t, g, p, 1)
-        single = grad_cam(t, g, p, 1, layer=1)
+        avg = MoleculeExplanations(g, p, t).heatmap("grad_cam_avg", 1)
+        single = MoleculeExplanations(g, p, t).heatmap("grad_cam", 1, 1)
         assert np.array_equal(avg.values, single.values)
 
     def test_equals_mean_of_layer_maps(self):
         g, p = random_instance(seed=86, widths=(4, 5, 6))
-        t = forward(g, p)
-        maps = [grad_cam(t, g, p, 0, layer=l).values for l in (1, 2, 3)]
+        source = MoleculeExplanations(g, p, forward(g, p))
+        maps = [source.heatmap("grad_cam", 0, l).values for l in (1, 2, 3)]
         expected = (maps[0] + maps[1] + maps[2]) / 3.0
-        assert np.allclose(grad_cam_avg(t, g, p, 0).values, expected, atol=1e-14)
+        assert np.allclose(source.heatmap("grad_cam_avg", 0).values, expected, atol=1e-14)
 
 
 class TestExcitationBackprop:
@@ -152,7 +146,7 @@ class TestExcitationBackprop:
         g = single_node_graph([1.0])
         p = manual_params([np.array([[2.0]])], np.array([[1.0, 0.5]]))
         t = forward(g, p)
-        h = excitation_bp(t, g, p, 0)
+        h = MoleculeExplanations(g, p, t).heatmap("eb", 0)
         assert h.values == pytest.approx([1.0])
 
     @pytest.mark.parametrize("seed", range(8))
@@ -170,14 +164,14 @@ class TestExcitationBackprop:
         t = forward(g, p)
         eb_trace = excitation_backprop_trace(t, g, p, 0)
         assert all(m == 0.0 for m in eb_trace.layer_masses())
-        h = excitation_bp(t, g, p, 0)
+        h = MoleculeExplanations(g, p, t).heatmap("eb", 0)
         assert np.all(h.values == 0.0)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_straight_line_oracle(self, seed):
         g, p = positive_instance(seed=100 + seed, n_nodes=2, widths=(3,))
         t = forward(g, p)
-        h = excitation_bp(t, g, p, 1)
+        h = MoleculeExplanations(g, p, t).heatmap("eb", 1)
         expected = straight_line_eb(
             g.node_features,
             g.norm_propagation,
@@ -190,7 +184,7 @@ class TestExcitationBackprop:
     def test_contrastive_renormalized(self):
         g, p = positive_instance(seed=9)
         t = forward(g, p)
-        h = excitation_bp(t, g, p, 1, contrastive=True)
+        h = MoleculeExplanations(g, p, t).heatmap("ceb", 1)
         assert np.all(h.values >= 0.0)
         total = h.values.sum()
         assert total == pytest.approx(1.0, abs=1e-12) or total == 0.0
@@ -200,10 +194,10 @@ class TestExcitationBackprop:
 
         m = parse_smiles("CC(=O)Oc1ccccc1")
         p = init_params(m.graph.feature_dim, (4, 4), seed=3)
-        t = forward(m.graph, p)
+        source = MoleculeExplanations(m.graph, p, forward(m.graph, p))
         for c in (0, 1):
             for contrastive in (False, True):
-                h = excitation_bp(t, m.graph, p, c, contrastive=contrastive)
+                h = source.heatmap("ceb" if contrastive else "eb", c)
                 assert np.all(h.values >= 0.0)
 
 
@@ -221,7 +215,7 @@ class TestMoleculeExplanations:
             assert np.array_equal(source.heatmap("eb", c).values, base)
             assert np.array_equal(source.heatmap("ceb", c).values, expected_ceb)
             assert np.array_equal(
-                excitation_bp(t, g, p, c, contrastive=True).values, expected_ceb
+                MoleculeExplanations(g, p, t).heatmap("ceb", c).values, expected_ceb
             )
 
     def test_shared_perceptron_terms_change_nothing(self):
@@ -270,11 +264,11 @@ class TestMoleculeExplanations:
         g, p = random_instance(seed=330, widths=(4, 5, 6))
         requests = [(m, None) for m in METHODS] + [("grad_cam", 1), ("grad_cam", 2)]
         source = MoleculeExplanations(g, p)
-        pairs = [explain_pair(g, p, m, layer, source=source) for m, layer in requests]
+        pairs = [explain_pair(source, m, layer) for m, layer in requests]
         assert calls == {"backprop": 1, "eb": 4}
         t = forward(g, p)
         for (method, layer), pair in zip(requests, pairs):
-            expected = explain_pair(g, p, method, layer=layer, trace=t)
+            expected = explain_pair(MoleculeExplanations(g, p, t), method, layer)
             for got, want in zip(pair, expected):
                 assert np.array_equal(got.values, want.values)
                 assert got.layer == want.layer and got.normalized == want.normalized
@@ -300,7 +294,7 @@ class TestNormalizePair:
     def test_joint_sum_is_one(self, seed):
         g, p = random_instance(seed=seed)
         for method in METHODS:
-            n0, n1 = explain_pair(g, p, method)
+            n0, n1 = explain_pair(MoleculeExplanations(g, p), method)
             if n0.normalized:
                 joint = n0.values.sum() + n1.values.sum()
                 assert joint == pytest.approx(1.0, abs=1e-12)
@@ -318,8 +312,8 @@ class TestPermutationEquivariance:
                 adjacency=g.adjacency[np.ix_(perm, perm)],
                 node_elements=tuple(g.node_elements[i] for i in perm),
             )
-            pair = explain_pair(g, p, method)
-            pair_perm = explain_pair(pg, p, method)
+            pair = explain_pair(MoleculeExplanations(g, p), method)
+            pair_perm = explain_pair(MoleculeExplanations(pg, p), method)
             for h, hp in zip(pair, pair_perm):
                 assert np.allclose(hp.values, h.values[perm], atol=1e-12)
 
@@ -342,4 +336,4 @@ class TestRecords:
         g, p = random_instance(seed=1)
         t = forward(g, p)
         with pytest.raises(ValueError):
-            compute_heatmap(t, g, p, "mystery", 0)
+            MoleculeExplanations(g, p, t).heatmap("mystery", 0)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,19 @@ from gcnx.model import (
 )
 
 from _oracles import central_difference, max_relative_error, pairwise_roc_auc
+
+# checkpoint_to_json(init_params(3, (2,), seed=13), TrainConfig(epochs=3,
+# layer_sizes=(2,), seed=13)) as written while TrainConfig still had a
+# batch_size field, with the whitespace compacted
+LEGACY_CHECKPOINT = """{"classifier_shape": [2, 2], "classifier_weights": [0.27873158003382836,
+-1.218300867368178, 1.0052881730368588, 1.1875211398600305], "featurization":
+{"charge_max": 2, "charge_min": -2, "element_vocab": ["B", "C", "N", "O", "P", "S",
+"F", "Cl", "Br", "I", "other"], "max_degree": 5}, "format_version": 1, "layer_shapes":
+[[3, 2]], "layer_sizes": [2], "layer_weights": [[0.7992314693297524,
+0.7784288086664193, 0.6814181257044363, -0.522644836108522, -0.9263095773321494,
+0.9781575164178311]], "n_classes": 2, "seed": 13, "train_config": {"adam_beta1": 0.9,
+"adam_beta2": 0.999, "adam_eps": 1e-08, "batch_size": 1, "class_weighting": true,
+"epochs": 3, "layer_sizes": [2], "learning_rate": 0.001, "seed": 13}}"""
 
 
 class TestForward:
@@ -340,11 +355,31 @@ class TestCheckpoint:
             assert np.array_equal(w1, w2)
         assert np.array_equal(p.classifier_weights, params2.classifier_weights)
 
+    def test_legacy_batch_size_checkpoint_loads_bit_identical(self):
+        params, cfg, scheme, seed = checkpoint_from_json(LEGACY_CHECKPOINT)
+        expected = init_params(3, (2,), seed=13)
+        for w1, w2 in zip(expected.layer_weights, params.layer_weights):
+            assert w1.tobytes() == w2.tobytes()
+        assert expected.classifier_weights.tobytes() == params.classifier_weights.tobytes()
+        legacy = json.loads(LEGACY_CHECKPOINT)
+        del legacy["train_config"]["batch_size"]
+        assert json.loads(checkpoint_to_json(params, cfg, scheme, seed)) == legacy
+
+    def test_written_config_has_no_batch_size(self):
+        cfg = TrainConfig(epochs=1, layer_sizes=(2,))
+        assert "batch_size" not in cfg.to_dict()
+        assert TrainConfig.from_dict(cfg.to_dict()) == cfg
+
+    @pytest.mark.parametrize("batch_size", [0, 4])
+    def test_other_batch_size_rejected(self, batch_size):
+        payload = json.loads(LEGACY_CHECKPOINT)
+        payload["train_config"]["batch_size"] = batch_size
+        with pytest.raises(ConfigurationError, match="batch_size"):
+            checkpoint_from_json(json.dumps(payload))
+
     def test_unknown_version_rejected(self):
         p = init_params(2, (2,), seed=0)
         cfg = TrainConfig(epochs=1, layer_sizes=(2,))
-        import json
-
         payload = json.loads(checkpoint_to_json(p, cfg))
         payload["format_version"] = 99
         with pytest.raises(ConfigurationError):
