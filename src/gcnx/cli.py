@@ -7,9 +7,9 @@ configurations produce byte-identical outputs.
 explain, metrics and mine each make one pass over the molecules and build
 one explainers.MoleculeExplanations per molecule. explain writes each
 molecule's records, and with --render its depictions, before it moves to
-the next. Bad --methods names, a negative --top-k and, with --render, a
-molecule id that is not a single file-name component are usage errors
-(exit 2), raised before any artifact is written.
+the next. Unknown or repeated --methods names, a negative --top-k and,
+with --render, a molecule id that is not a single file-name component are
+usage errors (exit 2), raised before any artifact is written.
 """
 
 from __future__ import annotations
@@ -181,6 +181,9 @@ def _parse_methods(raw: str) -> list[str]:
         raise ConfigurationError(
             f"unknown method(s) {', '.join(unknown)}; choose from {', '.join(METHODS)} or null"
         )
+    repeated = sorted({m for m in methods if methods.count(m) > 1})
+    if repeated:
+        raise ConfigurationError(f"method(s) {', '.join(repeated)} given more than once")
     return methods
 
 
@@ -296,6 +299,7 @@ def cmd_mine(args) -> int:
         predictions[mol_id] = predicted
         heatmaps[mol_id] = (h_pos if predicted == 1 else h_neg).values
 
+    counts: dict[str, int] = {}
     records = mine(
         dataset.entries,
         heatmaps,
@@ -304,6 +308,7 @@ def cmd_mine(args) -> int:
         min_occurrence=args.min_occurrence,
         top_k=args.top_k,
         true_positives_only=not args.all_samples,
+        stats=counts,
     )
     rows = [record.to_dict() for record in records]
     average_r_p = float(np.mean([row["r_p"] for row in rows])) if rows else None
@@ -341,7 +346,11 @@ def cmd_mine(args) -> int:
             )
         if average_r_p is not None:
             writer.writerow(["", "average_r_p", "", "", "", "", "", f"{average_r_p:.4f}"])
-    print(f"wrote {csv_path} and {json_path} ({len(rows)} substructures)")
+    print(
+        f"wrote {csv_path} and {json_path} ({len(rows)} substructures; "
+        f"{counts['candidates']} candidates, {counts['hosts']} distinct hosts, "
+        f"{counts['decisions']} containment decisions)"
+    )
     return EXIT_OK
 
 

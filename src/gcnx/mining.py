@@ -7,6 +7,12 @@ Each candidate is then counted per molecule: how often it occurs inside an
 explained region, and how often it occurs anywhere in the positive and
 negative data. Node labels (element, charge, aromaticity) and bond orders
 both participate in substructure equality.
+
+Canonicalization is an individualization-refinement search that skips
+subtrees which known automorphisms map onto searched ones. Containment is
+a backtracking search on lookup tables that each fragment builds once.
+mine loops over distinct molecules and decides each one once against every
+candidate.
 """
 
 from __future__ import annotations
@@ -14,6 +20,8 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,7 +42,9 @@ LabelKey = tuple  # (symbol, formal_charge, aromatic)
 
 @dataclass(frozen=True)
 class Fragment:
-    """Connected labeled subgraph with local vertex numbering."""
+    """Labeled subgraph with local vertex numbering. Candidates are connected;
+    molecules and activated regions need not be. Equality and hashing see
+    the labels and edges only, not the cached lookup tables."""
 
     node_labels: tuple[LabelKey, ...]
     edges: tuple[tuple[int, int, int], ...]  # (i, j, order), i < j
@@ -49,6 +59,16 @@ class Fragment:
             adj[i].append((j, order))
             adj[j].append((i, order))
         return adj
+
+    @cached_property
+    def _tallies(self) -> tuple[Counter, Counter]:
+        """Label and bond-order counts, the containment screen, built on first use."""
+        return Counter(self.node_labels), Counter(order for _, _, order in self.edges)
+
+    @cached_property
+    def _tables(self) -> _Tables:
+        """Containment lookup tables, built on first use past the screen."""
+        return _build_tables(self)
 
 
 def molecule_fragment(molecule: Molecule, vertices) -> Fragment:
@@ -104,44 +124,128 @@ def _certificate(fragment: Fragment, order) -> tuple:
     return (labels, edges)
 
 
-def _search(fragment: Fragment, adj, colors, best: list):
+class _SearchState:
+    """What the search has learned so far: the first and the best leaf, each
+    as (certificate, order, path of pivots), and the automorphisms found by
+    comparing later leaves with them (auto[v] is the image of node v)."""
+
+    def __init__(self):
+        self.first = None
+        self.best = None
+        self.automorphisms: list[list[int]] = []
+
+
+def _same_orbit(pivot: int, searched: list[int], path: list[int], automorphisms) -> bool:
+    """Is pivot in the orbit of an already searched pivot, under the group
+    generated by the known automorphisms that fix every node of path?"""
+    fixing = [auto for auto in automorphisms if all(auto[v] == v for v in path)]
+    if not fixing:
+        return False
+    parent = list(range(len(fixing[0])))
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for auto in fixing:
+        for v, w in enumerate(auto):
+            rv, rw = find(v), find(w)
+            if rv != rw:
+                parent[rv] = rw
+    root = find(pivot)
+    return any(find(s) == root for s in searched)
+
+
+def _common_prefix(a: list[int], b: list[int]) -> int:
+    depth = 0
+    while depth < min(len(a), len(b)) and a[depth] == b[depth]:
+        depth += 1
+    return depth
+
+
+def _leaf(fragment: Fragment, order: list[int], path: list[int], state: _SearchState) -> int:
+    """Score one leaf; return the depth at which the search resumes. A leaf
+    whose certificate equals the first or best one is an automorphism image
+    of it, and so is the whole subtree below the node where their paths
+    part: the search goes back to that node."""
+    cert = _certificate(fragment, order)
+    resume = len(path)
+    if state.first is None:
+        state.first = state.best = (cert, order, path)
+        return resume
+    references = (state.first,) if state.best is state.first else (state.first, state.best)
+    for ref_cert, ref_order, ref_path in references:
+        if cert == ref_cert:
+            auto = [0] * len(order)
+            for ref_node, node in zip(ref_order, order):
+                auto[ref_node] = node
+            state.automorphisms.append(auto)
+            resume = min(resume, _common_prefix(path, ref_path))
+    if cert < state.best[0]:
+        state.best = (cert, order, path)
+    return resume
+
+
+def _search(fragment: Fragment, adj, colors, path: list[int], state: _SearchState) -> int:
+    """Search the subtree of the node reached by individualizing path, and
+    return the depth at which the search resumes (len(path) when it simply
+    goes on with this node's parent)."""
     n = fragment.n_nodes
     counts = Counter(colors)
     if all(count == 1 for count in counts.values()):
-        order = sorted(range(n), key=lambda i: colors[i])
-        cert = _certificate(fragment, order)
-        if best[0] is None or cert < best[0]:
-            best[0] = cert
-        return
+        return _leaf(fragment, sorted(range(n), key=lambda i: colors[i]), path, state)
+    depth = len(path)
     target = min(color for color, count in counts.items() if count > 1)
-    members = [i for i in range(n) if colors[i] == target]
-    for pivot in members:
+    searched: list[int] = []
+    for pivot in [i for i in range(n) if colors[i] == target]:
+        if searched and _same_orbit(pivot, searched, path, state.automorphisms):
+            continue
+        searched.append(pivot)
         branched = [c * 2 for c in colors]
         branched[pivot] -= 1  # individualize
         refined = _refine(fragment.node_labels, adj, branched)
-        _search(fragment, adj, refined, best)
+        resume = _search(fragment, adj, refined, path + [pivot], state)
+        if resume < depth:
+            return resume
+    return depth
 
 
 def canonical_form(fragment: Fragment) -> tuple:
     """Lexicographically smallest (labels, edges) serialization over all
     label-refinement-compatible orderings; equal exactly for isomorphic
-    fragments."""
+    fragments.
+
+    The search individualizes one node of the first non-singleton color
+    class at a time and refines again, as nauty and Traces do (McKay and
+    Piperno 2014). Two leaves with equal certificates give an automorphism.
+    Pivots that such automorphisms, fixing the current path, map onto an
+    already searched pivot are skipped, and a leaf equal to the first or
+    the best leaf sends the search back to where their paths part.
+    Refinement and individualization commute with automorphisms, so the
+    skipped subtrees hold only certificates already seen, and the minimum
+    is that of the exhaustive search.
+    """
     if fragment.n_nodes > MAX_SUBGRAPH_NODES:
         raise FragmentTooLargeError(
             f"fragment has {fragment.n_nodes} nodes (cap {MAX_SUBGRAPH_NODES})"
         )
     adj = fragment.adjacency_lists()
     colors = _refine(fragment.node_labels, adj, [0] * fragment.n_nodes)
-    best: list = [None]
-    _search(fragment, adj, colors, best)
-    return best[0]
+    state = _SearchState()
+    _search(fragment, adj, colors, [], state)
+    return state.best[0]
 
 
-def canonical_key(fragment: Fragment) -> bytes:
-    labels, edges = canonical_form(fragment)
+def _serialize(labels, edges) -> bytes:
     label_part = ";".join(f"{sym},{charge:+d},{int(arom)}" for sym, charge, arom in labels)
     edge_part = ";".join(f"{i}-{j}:{order}" for i, j, order in edges)
     return f"{len(labels)}|{label_part}|{edge_part}".encode("ascii")
+
+
+def canonical_key(fragment: Fragment) -> bytes:
+    return _serialize(*canonical_form(fragment))
 
 
 @dataclass(frozen=True)
@@ -167,13 +271,12 @@ class CanonicalSubgraph:
 
 def canonicalize(fragment: Fragment) -> CanonicalSubgraph:
     labels, edges = canonical_form(fragment)
-    canonical = Fragment(node_labels=labels, edges=edges)
     elements = [
         ElementLabel(symbol=sym, formal_charge=charge, aromatic=bool(arom))
         for sym, charge, arom in labels
     ]
     return CanonicalSubgraph(
-        key=canonical_key(canonical),
+        key=_serialize(labels, edges),
         node_labels=labels,
         edges=edges,
         rendering=write_smiles(elements, edges),
@@ -211,87 +314,152 @@ def activated_subgraphs(
 # ---------------------------------------------------------------- containment
 
 
-def _label_multiset_fits(pattern: Fragment, host: Fragment) -> bool:
-    host_labels = Counter(host.node_labels)
-    for label, count in Counter(pattern.node_labels).items():
-        if host_labels[label] < count:
-            return False
-    host_orders = Counter(order for _, _, order in host.edges)
-    for order, count in Counter(o for _, _, o in pattern.edges).items():
-        if host_orders[order] < count:
-            return False
-    return True
+class _Tables(NamedTuple):
+    """Lookup tables of one fragment, for containment on either side."""
+
+    adj: list[list[tuple[int, int]]]  # node -> [(neighbor, bond order)]
+    bond: dict[tuple[int, int], int]  # (i, j) and (j, i) -> bond order
+    neighbor_tally: dict[tuple, int]  # (node, bond order, neighbor label) -> count
+    placements: dict[int, list[tuple]]  # as a pattern: start node -> _placement steps
+
+
+def _build_tables(fragment: Fragment) -> _Tables:
+    labels = fragment.node_labels
+    adj: list[list[tuple[int, int]]] = [[] for _ in labels]
+    bond = {}
+    neighbor_tally: dict[tuple, int] = {}
+    for i, j, order in fragment.edges:
+        adj[i].append((j, order))
+        adj[j].append((i, order))
+        bond[i, j] = bond[j, i] = order
+        for key in ((i, order, labels[j]), (j, order, labels[i])):
+            neighbor_tally[key] = neighbor_tally.get(key, 0) + 1
+    return _Tables(adj=adj, bond=bond, neighbor_tally=neighbor_tally, placements={})
+
+
+def _tallies_fit(pattern: Fragment, host: Fragment) -> bool:
+    return all(
+        host_tally[item] >= count
+        for pattern_tally, host_tally in zip(pattern._tallies, host._tallies)
+        for item, count in pattern_tally.items()
+    )
+
+
+def _placement(pattern: Fragment, tables: _Tables, start: int) -> list[tuple]:
+    """The pattern's atoms in placement order, one step per atom: (label,
+    depth of the placed neighbor it is drawn from or -1, that bond's order,
+    ((depth, bond order) of its other placed neighbors), its (bond order,
+    neighbor label) counts, depth of an interchangeable earlier leaf or -1).
+
+    Non-leaf atoms come first, breadth-first from start; degree-1 atoms
+    last. Leaves on the same atom with the same label and bond order are
+    interchangeable in any embedding."""
+    adj = tables.adj
+    depth_of = {start: 0}
+    order = [start]
+    anchor: dict[int, tuple[int, int]] = {}
+    for node in order:  # the skeleton, grown while it is walked
+        for neighbor, bond in adj[node]:
+            if neighbor not in depth_of and len(adj[neighbor]) > 1:
+                depth_of[neighbor] = len(order)
+                order.append(neighbor)
+                anchor[neighbor] = (node, bond)
+    last_twin: dict[tuple, int] = {}
+    twin: dict[int, int] = {}
+    for node in list(order):
+        for neighbor, bond in adj[node]:
+            if neighbor not in depth_of:
+                depth_of[neighbor] = len(order)
+                order.append(neighbor)
+                anchor[neighbor] = (node, bond)
+                group = (node, bond, pattern.node_labels[neighbor])
+                twin[neighbor] = last_twin.get(group, -1)
+                last_twin[group] = depth_of[neighbor]
+    if len(order) < pattern.n_nodes:
+        raise ValueError("containment patterns must be connected")
+    steps = []
+    for depth, node in enumerate(order):
+        from_node, from_bond = anchor.get(node, (None, 0))
+        steps.append(
+            (
+                pattern.node_labels[node],
+                depth_of[from_node] if from_node is not None else -1,
+                from_bond,
+                tuple(
+                    (depth_of[w], bond)
+                    for w, bond in adj[node]
+                    if depth_of[w] < depth and w != from_node
+                ),
+                # a leaf drawn from its one neighbor needs nothing more
+                ()
+                if node in twin
+                else tuple(
+                    (key[1:], count) for key, count in tables.neighbor_tally.items() if key[0] == node
+                ),
+                twin.get(node, -1),
+            )
+        )
+    return steps
 
 
 def contains_fragment(host: Fragment, pattern: Fragment) -> bool:
     """Exact labeled subgraph containment: is there an injective map of the
     pattern into the host preserving node labels and bond orders on every
-    pattern edge? Backtracking with label and degree pruning."""
-    if pattern.n_nodes > host.n_nodes or not _label_multiset_fits(pattern, host):
-        return False
-    pattern_adj = pattern.adjacency_lists()
-    host_adj = host.adjacency_lists()
-    host_bond = {}
-    for i, j, order in host.edges:
-        host_bond[(i, j)] = order
-        host_bond[(j, i)] = order
-    host_by_label: dict[LabelKey, list[int]] = {}
-    for idx, label in enumerate(host.node_labels):
-        host_by_label.setdefault(label, []).append(idx)
+    pattern edge? The host may have more edges than the image of the pattern.
 
-    # visit pattern nodes so each one (after the first) touches a mapped node;
-    # start from the most selective label
-    host_label_counts = Counter(host.node_labels)
+    Each fragment's lookup tables are built on first use and live as long
+    as the fragment. Label and bond-order tallies screen the pair. Then the
+    pattern's non-leaf atoms are placed breadth-first from the one whose
+    label is rarest in the host, and its degree-1 atoms last (in the spirit
+    of VF2, Cordella et al. 2004). Every atom after the first is drawn from
+    the host neighbors of a placed neighbor, and a host atom whose (bond
+    order, neighbor label) counts do not cover the pattern atom's is
+    rejected. Interchangeable leaves take host atoms in increasing order
+    only. A disconnected pattern that passes the screens raises ValueError.
+    """
+    if pattern.n_nodes > host.n_nodes:
+        return False
+    if not _tallies_fit(pattern, host):
+        return False
+    host_tables, pattern_tables = host._tables, pattern._tables
+    label_tally = host._tallies[0]
+    adj = pattern_tables.adj
+    skeleton = [i for i in range(pattern.n_nodes) if len(adj[i]) > 1] or range(pattern.n_nodes)
     start = min(
-        range(pattern.n_nodes),
-        key=lambda i: (host_label_counts[pattern.node_labels[i]], -len(pattern_adj[i])),
+        skeleton, key=lambda i: (label_tally[pattern.node_labels[i]], -len(adj[i]), i)
     )
-    order_of_visit = [start]
-    visited = {start}
-    frontier = list(pattern_adj[start])
-    while len(order_of_visit) < pattern.n_nodes:
-        nxt = None
-        for node, _ in frontier:
-            if node not in visited:
-                nxt = node
-                break
-        if nxt is None:  # pattern must be connected
-            raise ValueError("containment patterns must be connected")
-        visited.add(nxt)
-        order_of_visit.append(nxt)
-        frontier.extend(pattern_adj[nxt])
+    steps = pattern_tables.placements.get(start)
+    if steps is None:
+        steps = pattern_tables.placements[start] = _placement(pattern, pattern_tables, start)
+    host_adj, host_bond = host_tables.adj, host_tables.bond
+    host_labels, host_tally = host.node_labels, host_tables.neighbor_tally
+    image = [-1] * len(steps)
+    used = [False] * host.n_nodes
 
-    mapping: dict[int, int] = {}
-    used = set()
-
-    def backtrack(depth: int) -> bool:
-        if depth == len(order_of_visit):
+    def place(depth: int) -> bool:
+        if depth == len(steps):
             return True
-        node = order_of_visit[depth]
-        required = [
-            (neighbor, order)
-            for neighbor, order in pattern_adj[node]
-            if neighbor in mapping
-        ]
-        for candidate in host_by_label.get(pattern.node_labels[node], ()):
-            if candidate in used:
+        label, from_depth, from_bond, back, needs, twin_depth = steps[depth]
+        if from_depth < 0:
+            candidates = range(len(host_labels))
+        else:
+            candidates = [x for x, bond in host_adj[image[from_depth]] if bond == from_bond]
+        floor = image[twin_depth] if twin_depth >= 0 else -1
+        for x in candidates:
+            if x <= floor or used[x] or host_labels[x] != label:
                 continue
-            if len(host_adj[candidate]) < len(pattern_adj[node]):
+            if any(host_bond.get((x, image[d])) != bond for d, bond in back):
                 continue
-            if any(
-                host_bond.get((candidate, mapping[neighbor])) != order
-                for neighbor, order in required
-            ):
+            if any(host_tally.get((x, *key), 0) < count for key, count in needs):
                 continue
-            mapping[node] = candidate
-            used.add(candidate)
-            if backtrack(depth + 1):
+            image[depth] = x
+            used[x] = True
+            if place(depth + 1):
                 return True
-            del mapping[node]
-            used.remove(candidate)
+            used[x] = False
         return False
 
-    return backtrack(0)
+    return place(0)
 
 
 def molecule_contains(molecule: Molecule, pattern: CanonicalSubgraph | Fragment) -> bool:
@@ -303,6 +471,8 @@ def molecule_contains(molecule: Molecule, pattern: CanonicalSubgraph | Fragment)
 def count_dataset_occurrences(pattern, dataset_entries) -> tuple[int, int]:
     """(N_p, N_n): molecules containing the pattern, counted at most once per
     molecule, split by label. Entries are (id, Molecule, label) triples."""
+    if isinstance(pattern, CanonicalSubgraph):
+        pattern = pattern.fragment()  # once, so its lookup tables serve every molecule
     n_pos = n_neg = 0
     for _, molecule, label in dataset_entries:
         if molecule_contains(molecule, pattern):
@@ -352,6 +522,7 @@ def mine(
     min_occurrence: int = 10,
     top_k: int = 10,
     true_positives_only: bool = True,
+    stats: dict | None = None,
 ) -> list[SubstructureRecord]:
     """Rank substructures extracted from explanation heatmaps.
 
@@ -360,45 +531,70 @@ def mine(
     region contains s; n_pos/n_neg count molecules anywhere in the dataset
     containing s. Only candidates with n_pos + n_neg > min_occurrence
     survive; ranking is by descending R_e, then R_p, node count, and key.
+
+    The loop is host-major: each distinct molecule fragment is tested
+    against every candidate once, and identical molecules share that
+    verdict. An activated region equal to a molecule (every region at
+    tau < 0) reuses the molecule's verdicts; the remaining distinct regions
+    are tested against the surviving candidates only. One host's lookup
+    tables are alive at a time. If stats is a dict, it receives the counts
+    "candidates", "hosts" (distinct molecules) and "decisions"
+    (containment tests run).
     """
     if true_positives_only and predictions is None:
         raise ValueError("true_positives_only requires predictions")
 
-    qualifying: list[tuple[str, Molecule]] = []
+    candidates: dict[bytes, CanonicalSubgraph] = {}
+    regions: Counter[Fragment] = Counter()
     for mol_id, molecule, label in dataset_entries:
         if mol_id not in heatmaps:
             continue
         if true_positives_only and not (label == 1 and predictions.get(mol_id) == 1):
             continue
-        qualifying.append((mol_id, molecule))
-
-    candidates: dict[bytes, CanonicalSubgraph] = {}
-    activated_regions: list[Fragment] = []
-    for mol_id, molecule in qualifying:
         values = heatmaps[mol_id]
         mask = activated_vertices(values, tau)
-        activated_regions.append(
-            molecule_fragment(molecule, [i for i, on in enumerate(mask) if on])
-        )
+        regions[molecule_fragment(molecule, [i for i, on in enumerate(mask) if on])] += 1
         for sub in activated_subgraphs(molecule, values, tau):
             candidates.setdefault(sub.key, sub)
+    keys = sorted(candidates)
+    patterns = [candidates[key].fragment() for key in keys]
 
-    records = []
-    for key in sorted(candidates):
-        sub = candidates[key]
-        n_pos, n_neg = count_dataset_occurrences(sub, dataset_entries)
-        if n_pos + n_neg <= min_occurrence:
-            continue
-        pattern = sub.fragment()
-        n_explained = sum(
-            1 for region in activated_regions if contains_fragment(region, pattern)
-        )
-        records.append(
-            SubstructureRecord(
-                subgraph=sub, n_explained=n_explained, n_pos=n_pos, n_neg=n_neg
-            )
-        )
+    hosts: dict[Fragment, list[int]] = {}  # fragment -> [n_neg, n_pos] of its molecules
+    for _, molecule, label in dataset_entries:
+        hosts.setdefault(whole_molecule_fragment(molecule), [0, 0])[label == 1] += 1
+    n_hosts = len(hosts)
+    n_pos = [0] * len(patterns)
+    n_neg = [0] * len(patterns)
+    n_explained = [0] * len(patterns)
+    decisions = 0
+    while hosts:  # popped, so each host's tables die with it
+        host, (neg, pos) = hosts.popitem()
+        as_region = regions.pop(host, 0)
+        for c, pattern in enumerate(patterns):
+            if contains_fragment(host, pattern):
+                n_pos[c] += pos
+                n_neg[c] += neg
+                n_explained[c] += as_region
+        decisions += len(patterns)
+    surviving = [c for c in range(len(patterns)) if n_pos[c] + n_neg[c] > min_occurrence]
+    while regions:
+        region, count = regions.popitem()
+        for c in surviving:
+            if contains_fragment(region, patterns[c]):
+                n_explained[c] += count
+        decisions += len(surviving)
+    if stats is not None:
+        stats.update(candidates=len(patterns), hosts=n_hosts, decisions=decisions)
 
+    records = [
+        SubstructureRecord(
+            subgraph=candidates[keys[c]],
+            n_explained=n_explained[c],
+            n_pos=n_pos[c],
+            n_neg=n_neg[c],
+        )
+        for c in surviving
+    ]
     records.sort(
         key=lambda r: (-r.r_e, -r.r_p, -r.subgraph.node_count, r.subgraph.key)
     )

@@ -6,6 +6,7 @@ library code paths it checks.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import permutations
 
 import numpy as np
@@ -112,6 +113,121 @@ def brute_force_isomorphic(g1, g2) -> bool:
         return False
     # equal node/edge counts: an edge-preserving bijection is an isomorphism
     return brute_force_contains(g1, g2)
+
+
+# ------------------------------------------------------------ canonical form
+# The exhaustive canonical search: every leaf of the individualization-
+# refinement tree is scored, with no automorphism pruning.
+def _reference_refine(labels, adj, colors):
+    while True:
+        signatures = [
+            (
+                colors[i],
+                labels[i],
+                tuple(sorted((order, colors[j]) for j, order in adj[i])),
+            )
+            for i in range(len(labels))
+        ]
+        ranking = {sig: rank for rank, sig in enumerate(sorted(set(signatures)))}
+        new_colors = [ranking[sig] for sig in signatures]
+        if new_colors == colors:
+            return colors
+        colors = new_colors
+
+
+def _reference_certificate(fragment, order) -> tuple:
+    position = {node: pos for pos, node in enumerate(order)}
+    labels = tuple(fragment.node_labels[node] for node in order)
+    edges = tuple(
+        sorted(
+            (min(position[i], position[j]), max(position[i], position[j]), bond)
+            for i, j, bond in fragment.edges
+        )
+    )
+    return (labels, edges)
+
+
+def _reference_search(fragment, adj, colors, best: list):
+    n = fragment.n_nodes
+    counts = Counter(colors)
+    if all(count == 1 for count in counts.values()):
+        order = sorted(range(n), key=lambda i: colors[i])
+        cert = _reference_certificate(fragment, order)
+        if best[0] is None or cert < best[0]:
+            best[0] = cert
+        return
+    target = min(color for color, count in counts.items() if count > 1)
+    members = [i for i in range(n) if colors[i] == target]
+    for pivot in members:
+        branched = [c * 2 for c in colors]
+        branched[pivot] -= 1  # individualize
+        refined = _reference_refine(fragment.node_labels, adj, branched)
+        _reference_search(fragment, adj, refined, best)
+
+
+def reference_canonical_form(fragment) -> tuple:
+    """Smallest (labels, edges) certificate over every leaf of the search."""
+    adj = fragment.adjacency_lists()
+    colors = _reference_refine(fragment.node_labels, adj, [0] * fragment.n_nodes)
+    best: list = [None]
+    _reference_search(fragment, adj, colors, best)
+    return best[0]
+
+
+# -------------------------------------------------------------------- mining
+def reference_mine(
+    dataset_entries,
+    heatmaps,
+    predictions=None,
+    tau=0.0,
+    min_occurrence=10,
+    top_k=10,
+    true_positives_only=True,
+):
+    """Candidate-major mining: every candidate is tested against every
+    molecule with molecule_contains and against every activated region with
+    contains_fragment, one call per pair, with no host shared or reused."""
+    from gcnx.mining import (
+        SubstructureRecord,
+        activated_subgraphs,
+        activated_vertices,
+        contains_fragment,
+        molecule_contains,
+        molecule_fragment,
+    )
+
+    qualifying = [
+        (mol_id, molecule)
+        for mol_id, molecule, label in dataset_entries
+        if mol_id in heatmaps
+        and not (true_positives_only and not (label == 1 and predictions.get(mol_id) == 1))
+    ]
+    candidates = {}
+    regions = []
+    for mol_id, molecule in qualifying:
+        mask = activated_vertices(heatmaps[mol_id], tau)
+        regions.append(molecule_fragment(molecule, [i for i, on in enumerate(mask) if on]))
+        for sub in activated_subgraphs(molecule, heatmaps[mol_id], tau):
+            candidates.setdefault(sub.key, sub)
+    records = []
+    for key in sorted(candidates):
+        sub = candidates[key]
+        n_pos = n_neg = 0
+        for _, molecule, label in dataset_entries:
+            if molecule_contains(molecule, sub):
+                if label == 1:
+                    n_pos += 1
+                else:
+                    n_neg += 1
+        if n_pos + n_neg <= min_occurrence:
+            continue
+        pattern = sub.fragment()
+        n_explained = sum(1 for region in regions if contains_fragment(region, pattern))
+        records.append(
+            SubstructureRecord(subgraph=sub, n_explained=n_explained, n_pos=n_pos, n_neg=n_neg)
+        )
+    records.sort(key=lambda r: (-r.r_e, -r.r_p, -r.subgraph.node_count, r.subgraph.key))
+    return records[:top_k]
 
 
 # ------------------------------------------------------------- network tails

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -206,6 +207,24 @@ class TestExplain:
         assert "bogus" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_repeated_method_exit_2_before_checkpoint_read(self, tmp_path, capsys):
+        # the checkpoint does not exist: the usage error must come first
+        out = tmp_path / "out"
+        code = main(
+            [
+                "explain",
+                "--data", "synth:NO:4",
+                "--checkpoint", str(tmp_path / "absent.json"),
+                "--methods", "cam,gradient, cam",
+                "--out-dir", str(out),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "cam" in err and "more than once" in err
+        assert "absent.json" not in err
+        assert not out.exists()
+
     def test_checkpoint_with_batch_size_4_exit_2(self, trained, tmp_path, capsys):
         payload = json.loads((trained / "checkpoint.json").read_text())
         payload["train_config"]["batch_size"] = 4
@@ -274,6 +293,24 @@ class TestMetrics:
         assert "bogus" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_repeated_method_exit_2_before_checkpoint_read(self, tmp_path, capsys):
+        # the checkpoint does not exist: the usage error must come first
+        out = tmp_path / "out"
+        code = main(
+            [
+                "metrics",
+                "--data", "synth:NO:4",
+                "--checkpoint", str(tmp_path / "absent.json"),
+                "--methods", "cam,cam",
+                "--out-dir", str(out),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "cam" in err and "more than once" in err
+        assert "absent.json" not in err
+        assert not out.exists()
+
     def test_same_seed_identical_reports(self, trained, tmp_path):
         outs = []
         for name in ("a", "b"):
@@ -335,6 +372,33 @@ class TestMine:
         assert payload["records"] == []
         assert payload["average_r_p"] is None
 
+
+    @pytest.mark.parametrize("tau", ["-1", "0.1"])
+    def test_stdout_reports_candidates_hosts_and_decisions(self, trained, tmp_path, capsys, tau):
+        code = main(
+            [
+                "mine",
+                "--data", "synth:NO:40",
+                "--checkpoint", str(trained / "checkpoint.json"),
+                "--tau", tau,
+                "--all-samples",
+                "--min-occurrence", "2",
+                "--out-dir", str(tmp_path / "out"),
+            ]
+        )
+        assert code == 0
+        line = capsys.readouterr().out.strip().splitlines()[-1]
+        match = re.search(
+            r"(\d+) candidates, (\d+) distinct hosts, (\d+) containment decisions", line
+        )
+        assert match, line
+        candidates, hosts, decisions = map(int, match.groups())
+        assert candidates > 0 and 0 < hosts <= 40
+        if tau == "-1":
+            # every activated region is its whole molecule: no region is tested apart
+            assert decisions == candidates * hosts
+        else:
+            assert decisions >= candidates * hosts
 
     def test_negative_top_k_exit_2(self, trained, tmp_path, capsys):
         out = tmp_path / "out"

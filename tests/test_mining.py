@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import gcnx.mining as mining
 from gcnx.mining import (
     Fragment,
     FragmentTooLargeError,
     activated_subgraphs,
+    canonical_form,
     canonical_key,
     canonicalize,
     contains_fragment,
@@ -16,12 +20,55 @@ from gcnx.mining import (
 )
 from gcnx.smiles import parse_smiles
 
-from _oracles import brute_force_contains, brute_force_isomorphic
+from _oracles import (
+    brute_force_contains,
+    brute_force_isomorphic,
+    reference_canonical_form,
+    reference_mine,
+)
 
 C = ("C", 0, False)
 N = ("N", 0, False)
 O = ("O", 0, False)
+F = ("F", 0, False)
 CL = ("Cl", 0, False)
+
+
+def perhalo(halogen: str, carbons: int) -> str:
+    return halogen + f"C({halogen})({halogen})" * carbons + halogen
+
+
+TBU = "C(C)(C)C"
+# the symmetric positives of the benchmark's symmetric-mine corpus
+SYMMETRIC_POSITIVES = (
+    perhalo("F", 3),
+    perhalo("F", 4),
+    perhalo("F", 5),
+    perhalo("F", 6),
+    perhalo("Cl", 2),
+    perhalo("Cl", 3),
+    perhalo("Cl", 4),
+    "CCC" + TBU,
+    TBU + "CCC" + TBU,
+    TBU + "CC(" + TBU + ")C" + TBU,
+    "c1ccc2ccccc2c1",  # naphthalene
+    "c1ccc2cc3ccccc3cc2c1",  # anthracene
+    "c1cc2ccc3cccc4ccc(c1)c2c34",  # pyrene
+    "C1C2CC3CC1CC(C2)C3",  # adamantane
+)
+SYMMETRIC_FIXTURES = SYMMETRIC_POSITIVES + (
+    "C12C3C4C1C5C2C3C45",  # cubane
+    "C1CC2CCC3CCCC4CCC(C1)C2C34",  # fused rings
+    "CC(C)(C)C(C)(C)C",  # 2,2,3,3-tetramethylbutane
+)
+
+# the exhaustive search takes seconds on each of these
+LARGE_SYMMETRIC = (
+    "C(" + TBU + ")(" + TBU + ")(" + TBU + ")" + TBU,  # tetra-tert-butylmethane
+    perhalo("F", 7),
+    perhalo("F", 8),
+    perhalo("F", 9),
+)
 
 
 def frag(labels, edges):
@@ -38,6 +85,35 @@ def permuted(fragment: Fragment, perm) -> Fragment:
         for i, j, order in fragment.edges
     )
     return Fragment(node_labels=tuple(labels), edges=tuple(sorted(edges)))
+
+
+def carbon_graph(*parts) -> Fragment:
+    """Disjoint union of all-carbon graphs, each given as (n_nodes, edges)."""
+    edges, offset = [], 0
+    for n, part in parts:
+        edges += [(offset + min(a, b), offset + max(a, b), 1) for a, b in part]
+        offset += n
+    return frag([C] * offset, sorted(edges))
+
+
+def cycle(n):
+    return n, [(i, (i + 1) % n) for i in range(n)]
+
+
+K33 = 6, [(a, b) for a in range(3) for b in range(3, 6)]
+PRISM = 6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]
+FRUCHT = 12, [
+    (0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 0), (0, 7), (1, 7), (2, 8),
+    (3, 8), (4, 9), (5, 10), (6, 10), (7, 11), (8, 9), (9, 11), (10, 11),
+]
+# Regular graphs: refinement leaves one cell that spans several orbits, so
+# the search must not treat its vertices as interchangeable.
+REGULAR_FIXTURES = {
+    "k33+prism": carbon_graph(K33, PRISM),
+    "hexagon+2 triangles": carbon_graph(cycle(6), cycle(3), cycle(3)),
+    "octagon+2 squares": carbon_graph(cycle(8), cycle(4), cycle(4)),
+    "frucht": carbon_graph(FRUCHT),  # 3-regular with no automorphism but the identity
+}
 
 
 def random_fragment(rng, max_nodes=8):
@@ -124,6 +200,95 @@ class TestCanonicalKey:
         assert canonical_key(whole_molecule_fragment(reparsed)) == sub.key
 
 
+@st.composite
+def symmetric_fragments(draw, max_nodes=12):
+    """A small core with copies of one arm hung from its atoms, relabeled."""
+    core = draw(st.integers(1, 4))
+    labels = [draw(st.sampled_from([C, N])) for _ in range(core)]
+    edges = {(draw(st.integers(0, i - 1)), i, draw(st.sampled_from([1, 2]))) for i in range(1, core)}
+    arm = draw(st.lists(st.sampled_from([C, N, O, F]), min_size=1, max_size=3))
+    for site in range(core):
+        for _ in range(draw(st.integers(0, 3))):
+            if len(labels) + len(arm) > max_nodes:
+                break
+            previous = site
+            for label in arm:
+                labels.append(label)
+                edges.add((previous, len(labels) - 1, 1))
+                previous = len(labels) - 1
+    fragment = frag(labels, sorted(edges))
+    return permuted(fragment, draw(st.permutations(range(fragment.n_nodes))))
+
+
+def counted_certificates(monkeypatch) -> list:
+    calls = []
+    real = mining._certificate
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(mining, "_certificate", counting)
+    return calls
+
+
+class TestPrunedSearch:
+    @pytest.mark.parametrize("smiles", SYMMETRIC_FIXTURES)
+    def test_equals_exhaustive_search_under_relabeling(self, smiles):
+        fragment = whole_molecule_fragment(parse_smiles(smiles))
+        expected = reference_canonical_form(fragment)
+        assert canonical_form(fragment) == expected
+        rng = np.random.default_rng(fragment.n_nodes)
+        for _ in range(20):
+            perm = rng.permutation(fragment.n_nodes).tolist()
+            assert canonical_form(permuted(fragment, perm)) == expected
+
+    @pytest.mark.parametrize("name", REGULAR_FIXTURES)
+    def test_regular_graphs_equal_exhaustive_search(self, name):
+        fragment = REGULAR_FIXTURES[name]
+        expected = reference_canonical_form(fragment)
+        rng = np.random.default_rng(fragment.n_nodes)
+        for _ in range(20):
+            perm = rng.permutation(fragment.n_nodes).tolist()
+            assert canonical_form(permuted(fragment, perm)) == expected
+
+    @pytest.mark.parametrize("smiles", LARGE_SYMMETRIC)
+    def test_large_fixture_relabel_invariant(self, smiles):
+        fragment = whole_molecule_fragment(parse_smiles(smiles))
+        key = canonical_key(fragment)
+        rng = np.random.default_rng(fragment.n_nodes)
+        for _ in range(20):
+            perm = rng.permutation(fragment.n_nodes).tolist()
+            assert canonical_key(permuted(fragment, perm)) == key
+
+    @pytest.mark.parametrize("smiles", SYMMETRIC_FIXTURES + LARGE_SYMMETRIC)
+    def test_leaves_at_most_twice_the_nodes(self, smiles, monkeypatch):
+        calls = counted_certificates(monkeypatch)
+        fragment = whole_molecule_fragment(parse_smiles(smiles))
+        rng = np.random.default_rng(1)
+        for perm in [list(range(fragment.n_nodes))] + [
+            rng.permutation(fragment.n_nodes).tolist() for _ in range(3)
+        ]:
+            calls.clear()
+            canonical_form(permuted(fragment, perm))
+            assert 1 <= len(calls) <= 2 * fragment.n_nodes
+
+    @settings(max_examples=150, deadline=None)
+    @given(symmetric_fragments())
+    def test_random_symmetric_fragments_match_exhaustive_search(self, fragment):
+        assert canonical_form(fragment) == reference_canonical_form(fragment)
+
+    def test_canonicalize_searches_once(self, monkeypatch):
+        calls = counted_certificates(monkeypatch)
+        fragment = whole_molecule_fragment(parse_smiles("CC(C)(C)C(C)(C)C"))
+        key = canonical_key(fragment)
+        leaves = len(calls)
+        calls.clear()
+        assert canonicalize(fragment).key == key
+        assert len(calls) == leaves
+
+
+
 class TestContainment:
     def test_single_bond_in_ethane_like_set(self):
         pattern = frag([C, C], [(0, 1, 1)])
@@ -162,6 +327,97 @@ class TestContainment:
             )
             assert got == expected
 
+    def test_disconnected_pattern_raises(self):
+        host = whole_molecule_fragment(parse_smiles("CCCO"))
+        with pytest.raises(ValueError, match="connected"):
+            contains_fragment(host, frag([C, O], []))
+        with pytest.raises(ValueError, match="connected"):
+            contains_fragment(host, frag([C, C, C, O], [(0, 1, 1), (2, 3, 1)]))
+
+    def test_host_tables_built_once(self, monkeypatch):
+        built = []
+        real = mining._build_tables
+        monkeypatch.setattr(mining, "_build_tables", lambda f: built.append(f) or real(f))
+        host = whole_molecule_fragment(parse_smiles("FC(F)(F)C(F)(F)C(F)(F)F"))
+        patterns = [frag([C, F], [(0, 1, 1)]), frag([C, C, F], [(0, 1, 1), (1, 2, 1)])]
+        for _ in range(3):
+            for pattern in patterns:
+                assert contains_fragment(host, pattern)
+        assert len(built) == 1 + len(patterns)
+
+    @pytest.mark.parametrize("ring", range(3, 7))
+    def test_ring_needs_its_closing_bond(self, ring):
+        # a k-ring embeds into an m-ring only for k == m, although every
+        # m-ring atom has the two carbon neighbors a k-ring atom needs
+        pattern = carbon_graph(cycle(ring))
+        for size in range(ring, 8):
+            assert contains_fragment(carbon_graph(cycle(size)), pattern) == (size == ring)
+        # decalin holds both six-rings and its ten-atom perimeter
+        decalin = whole_molecule_fragment(parse_smiles("C1CCC2CCCCC2C1"))
+        assert contains_fragment(decalin, pattern) == (ring == 6)
+
+    def test_perfluoro_chains(self):
+        # C4F10 holds a C3F7 piece, but not C3F8: its middle carbons carry 2 F
+        host = whole_molecule_fragment(parse_smiles(perhalo("F", 4)))
+        assert contains_fragment(host, whole_molecule_fragment(parse_smiles("FC(F)(F)C(F)(F)C(F)F")))
+        assert not contains_fragment(host, whole_molecule_fragment(parse_smiles(perhalo("F", 3))))
+        assert not contains_fragment(host, whole_molecule_fragment(parse_smiles("FC(F)(F)F")))
+
+
+@st.composite
+def branched_fragments(draw, min_nodes, max_nodes):
+    """Trees of C and N with halogen leaves, sometimes closed into a ring."""
+    n = draw(st.integers(min_nodes, max_nodes))
+    labels = [draw(st.sampled_from([C, N]))]
+    edges = []
+    for i in range(1, n):
+        skeleton = [j for j in range(i) if labels[j] in (C, N)]
+        labels.append(draw(st.sampled_from([C, C, N, F, CL])))
+        edges.append((draw(st.sampled_from(skeleton)), i, draw(st.sampled_from([1, 1, 2]))))
+    if n >= 4 and draw(st.booleans()):
+        skeleton = [j for j in range(n) if labels[j] in (C, N)]
+        if len(skeleton) >= 3:
+            a, b = sorted(draw(st.lists(st.sampled_from(skeleton), min_size=2, max_size=2, unique=True)))
+            if not any(e[:2] == (a, b) for e in edges):
+                edges.append((a, b, 1))
+    return frag(labels, sorted(edges))
+
+
+@st.composite
+def host_pattern_pairs(draw):
+    host = draw(branched_fragments(3, 8))
+    if draw(st.booleans()):
+        return host, draw(branched_fragments(1, 5))
+    # a connected piece of the host, relabeled, so that hits are common
+    adj = host.adjacency_lists()
+    chosen = [draw(st.integers(0, host.n_nodes - 1))]
+    tree = set()
+    for _ in range(draw(st.integers(0, 4))):
+        frontier = sorted({(i, j) for i in chosen for j, _ in adj[i] if j not in chosen})
+        if frontier:
+            i, j = draw(st.sampled_from(frontier))
+            chosen.append(j)
+            tree.add((min(i, j), max(i, j)))
+    index = {v: k for k, v in enumerate(chosen)}
+    edges = [
+        (min(index[i], index[j]), max(index[i], index[j]), order)
+        for i, j, order in host.edges
+        if i in index and j in index and ((i, j) in tree or draw(st.booleans()))
+    ]
+    piece = frag([host.node_labels[v] for v in chosen], sorted(edges))
+    return host, permuted(piece, draw(st.permutations(range(piece.n_nodes))))
+
+
+class TestContainmentProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(host_pattern_pairs())
+    def test_matches_brute_force_oracle(self, pair):
+        host, pattern = pair
+        expected = brute_force_contains(
+            (list(pattern.node_labels), list(pattern.edges)),
+            (list(host.node_labels), list(host.edges)),
+        )
+        assert contains_fragment(host, pattern) == expected
 
 class TestActivatedSubgraphs:
     def test_all_zero_heatmap_strict_threshold(self):
@@ -204,6 +460,52 @@ def motif_mask(molecule):
     return np.array(
         [1.0 if el.symbol in ("N", "O") else 0.0 for el in molecule.elements]
     )
+
+
+def corpus_with_duplicates():
+    entries = planted_entries()
+    # the same SMILES under new ids and both labels, and one isomer spelled apart
+    entries += [(f"d{i}", parse_smiles(s), i % 2) for i, s in enumerate(["CCNO", "CCNO", "CCC", "CCC", "OCC"])]
+    entries += [(f"e{i}", parse_smiles("CC(C)(C)C(C)(C)C"), 1) for i in range(3)]
+    return entries
+
+
+class TestMineAgainstReference:
+    @pytest.mark.parametrize("tau", [-1.0, 0.1])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_records_equal_candidate_major_reference(self, tau, seed):
+        entries = corpus_with_duplicates()
+        rng = np.random.default_rng(seed)
+        heatmaps = {mol_id: rng.random(mol.n_atoms) for mol_id, mol, _ in entries[::2]}
+        heatmaps.update({mol_id: rng.random(mol.n_atoms) for mol_id, mol, _ in entries[1::3]})
+        predictions = {mol_id: int(rng.integers(0, 2)) for mol_id, _, _ in entries}
+        for true_positives_only in (False, True):
+            kwargs = dict(
+                predictions=predictions,
+                tau=tau,
+                min_occurrence=2,
+                top_k=1000,
+                true_positives_only=true_positives_only,
+            )
+            got = [r.to_dict() for r in mine(entries, heatmaps, **kwargs)]
+            assert got == [r.to_dict() for r in reference_mine(entries, heatmaps, **kwargs)]
+            assert got
+
+    def test_each_distinct_host_decided_once(self, monkeypatch):
+        entries = corpus_with_duplicates()
+        heatmaps = {mol_id: np.ones(mol.n_atoms) for mol_id, mol, _ in entries}
+        calls = []
+        real = mining.contains_fragment
+        monkeypatch.setattr(
+            mining, "contains_fragment", lambda host, pattern: calls.append(host) or real(host, pattern)
+        )
+        stats = {}
+        mine(entries, heatmaps, tau=-1, min_occurrence=2, true_positives_only=False, stats=stats)
+        hosts = {whole_molecule_fragment(mol) for _, mol, _ in entries}
+        assert stats["hosts"] == len(hosts) < len(entries)
+        # at tau -1 every region is its molecule, so regions add no decisions
+        assert stats["decisions"] == len(calls) == stats["candidates"] * len(hosts)
+        assert set(calls) == hosts
 
 
 class TestMine:
