@@ -7,9 +7,10 @@ configurations produce byte-identical outputs.
 explain, metrics and mine each make one pass over the molecules and build
 one explainers.MoleculeExplanations per molecule. explain writes each
 molecule's records, and with --render its depictions, before it moves to
-the next. Unknown or repeated --methods names, a negative --top-k and,
-with --render, a molecule id that is not a single file-name component are
-usage errors (exit 2), raised before any artifact is written.
+the next. Unknown or repeated --methods names, a negative --top-k, a
+checkpoint whose arrays, shapes, class count or featurization width
+disagree and, with --render, a molecule id that is not a single file-name
+component are usage errors (exit 2), raised before any artifact is written.
 """
 
 from __future__ import annotations
@@ -187,6 +188,17 @@ def _parse_methods(raw: str) -> list[str]:
     return methods
 
 
+def _load_model(path: str):
+    """The checkpoint's parameters and featurization scheme, checked to fit
+    each other, so a mismatch exits 2 before any artifact is written."""
+    params, _, scheme, _ = load_checkpoint(path)
+    if params.input_dim != scheme.d_in:
+        raise ConfigurationError(
+            f"checkpoint input width {params.input_dim} != its featurization width {scheme.d_in}"
+        )
+    return params, scheme
+
+
 def _check_render_id(mol_id: str) -> None:
     """--render names files after molecule ids, so each id must be a single
     file-name component."""
@@ -200,7 +212,7 @@ def _check_render_id(mol_id: str) -> None:
 def cmd_explain(args) -> int:
     config = effective_config(args, "explain")
     methods = _parse_methods(args.methods)
-    params, _, scheme, _ = load_checkpoint(args.checkpoint)
+    params, scheme = _load_model(args.checkpoint)
     dataset = load_data(args)
     layers = _parse_layers(args.layers_list, params.n_layers)
     if args.render:
@@ -247,7 +259,7 @@ def cmd_explain(args) -> int:
 def cmd_metrics(args) -> int:
     config = effective_config(args, "metrics")
     methods = _parse_methods(args.methods)
-    params, _, scheme, _ = load_checkpoint(args.checkpoint)
+    params, scheme = _load_model(args.checkpoint)
     dataset = load_data(args)
     data = [(featurize(molecule, scheme), label) for _, molecule, label in dataset.entries]
     reports = metric_suite(params, data, methods, threshold=args.fidelity_threshold)
@@ -286,7 +298,7 @@ def cmd_mine(args) -> int:
     config = effective_config(args, "mine")
     if args.top_k < 0:
         raise ConfigurationError(f"--top-k must be nonnegative, got {args.top_k}")
-    params, _, scheme, _ = load_checkpoint(args.checkpoint)
+    params, scheme = _load_model(args.checkpoint)
     dataset = load_data(args)
 
     predictions = {}

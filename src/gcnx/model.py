@@ -8,8 +8,10 @@ keeps training deterministic for a fixed seed.
 
 from __future__ import annotations
 
+import base64
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -69,13 +71,52 @@ class TrainConfig:
         return cls(**d)
 
 
+def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Consecutive reshaped views into flat, one per shape, in order."""
+    views, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[start : start + size].reshape(shape))
+        start += size
+    return views
+
+
 @dataclass
 class ModelParams:
-    """Convolution weights W^l plus the K x C classifier matrix."""
+    """Convolution weights W^l plus the K x C classifier matrix.
+
+    Construction packs the arrays, W^1..W^L then the classifier, into one
+    contiguous float64 vector `flat`; layer_weights and classifier_weights
+    are then reshaped views into it, so writing to `flat` writes the
+    weights (train's optimizer updates them that way). The shapes must
+    chain (W^l is d_{l-1} x d_l, the classifier d_L x C) and agree with
+    layer_sizes, or ConfigurationError is raised. copy() packs a new,
+    independent vector.
+    """
 
     layer_weights: list[np.ndarray]
     classifier_weights: np.ndarray
     layer_sizes: tuple[int, ...]
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        arrays = [np.asarray(a, dtype=np.float64) for a in self.layer_weights]
+        arrays.append(np.asarray(self.classifier_weights, dtype=np.float64))
+        shapes = [a.shape for a in arrays]
+        if any(len(shape) != 2 for shape in shapes):
+            raise ConfigurationError(f"weight arrays must be 2-D, got shapes {shapes}")
+        for l, (a, b) in enumerate(zip(shapes[:-1], shapes[1:]), start=1):
+            if a[1] != b[0]:
+                raise ConfigurationError(
+                    f"weight shapes do not chain: array {l} is {a[0]}x{a[1]}, "
+                    f"array {l + 1} is {b[0]}x{b[1]}"
+                )
+        if tuple(self.layer_sizes) != tuple(shape[1] for shape in shapes[:-1]):
+            raise ConfigurationError(
+                f"layer_sizes {list(self.layer_sizes)} disagree with weight shapes {shapes[:-1]}"
+            )
+        self.flat = np.concatenate([a.reshape(-1) for a in arrays])
+        *self.layer_weights, self.classifier_weights = _views(self.flat, shapes)
 
     @property
     def n_layers(self) -> int:
@@ -90,11 +131,7 @@ class ModelParams:
         return self.layer_weights[0].shape[0]
 
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            layer_weights=[w.copy() for w in self.layer_weights],
-            classifier_weights=self.classifier_weights.copy(),
-            layer_sizes=self.layer_sizes,
-        )
+        return ModelParams(self.layer_weights, self.classifier_weights, self.layer_sizes)
 
 
 def init_params(
@@ -185,8 +222,7 @@ class Gradients:
 
     layer_weights: list[np.ndarray]
     classifier_weights: np.ndarray
-    input: np.ndarray
-    activations: list[np.ndarray]  # d(scalar)/dF^l for l = 0..L
+    activations: list[np.ndarray]  # d(scalar)/dF^l for l = 0..L; [0] is d/dX
 
 
 def _backprop(
@@ -229,7 +265,6 @@ def _backprop(
     return Gradients(
         layer_weights=d_layer_weights,
         classifier_weights=d_classifier,
-        input=d_activations[0],
         activations=d_activations,
     )
 
@@ -291,27 +326,47 @@ def occlude(graph: AttributedGraph, mask) -> AttributedGraph:
 
 
 class AdamOptimizer:
-    """Standard ADAM with bias correction over a list of parameter arrays."""
+    """ADAM with bias correction (Kingma & Ba, arXiv 1412.6980) over one
+    parameter array of a fixed shape, updated in place.
 
-    def __init__(self, shapes, lr, beta1, beta2, eps):
+    train passes ModelParams.flat, so one step updates every weight. The
+    moments m, v and two work arrays are allocated once; a step runs
+    in-place ufuncs on them and allocates no array. It performs the
+    textbook update's float operations in their order, with c_i = 1 - b_i^t:
+    m = b1 m + (1 - b1) g, v = b2 v + ((1 - b2) g) g,
+    theta -= (lr (m / c1)) / (sqrt(v / c2) + eps).
+    """
+
+    def __init__(self, shape, lr, beta1, beta2, eps):
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros(s) for s in shapes]
-        self.v = [np.zeros(s) for s in shapes]
+        self.m = np.zeros(shape)
+        self.v = np.zeros(shape)
+        self._work = (np.empty(shape), np.empty(shape))
 
-    def step(self, tensors: list[np.ndarray], grads: list[np.ndarray]) -> None:
+    def step(self, theta: np.ndarray, grad: np.ndarray) -> None:
         self.t += 1
         correction1 = 1.0 - self.beta1**self.t
         correction2 = 1.0 - self.beta2**self.t
-        for i, (theta, g) in enumerate(zip(tensors, grads)):
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g
-            m_hat = self.m[i] / correction1
-            v_hat = self.v[i] / correction2
-            theta -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        m, v = self.m, self.v
+        a, b = self._work
+        np.multiply(m, self.beta1, out=m)
+        np.multiply(grad, 1.0 - self.beta1, out=a)
+        np.add(m, a, out=m)
+        np.multiply(v, self.beta2, out=v)
+        np.multiply(grad, 1.0 - self.beta2, out=a)
+        np.multiply(a, grad, out=a)
+        np.add(v, a, out=v)
+        np.divide(v, correction2, out=a)
+        np.sqrt(a, out=a)
+        np.add(a, self.eps, out=a)
+        np.divide(m, correction1, out=b)
+        np.multiply(b, self.lr, out=b)
+        np.divide(b, a, out=b)
+        np.subtract(theta, b, out=theta)
 
 
 def class_weights(labels, n_classes: int = 2) -> np.ndarray:
@@ -342,6 +397,8 @@ def train(
 ) -> TrainResult:
     """Train with per-molecule ADAM steps; deterministic for a fixed seed.
 
+    Every step updates params.flat in place from one packed gradient buffer.
+
     With a validation set, the returned parameters are the checkpoint with
     the best validation accuracy (the latest epoch wins ties).
     """
@@ -361,9 +418,9 @@ def train(
         if cfg.class_weighting
         else np.ones(n_classes)
     )
-    tensors = params.layer_weights + [params.classifier_weights]
+    grad = np.empty_like(params.flat)
     optimizer = AdamOptimizer(
-        [t.shape for t in tensors],
+        params.flat.shape,
         cfg.learning_rate,
         cfg.adam_beta1,
         cfg.adam_beta2,
@@ -381,7 +438,11 @@ def train(
             trace = forward(graph, params)
             loss, grads = loss_gradients(trace, graph, params, label, weights[label])
             total_loss += loss
-            optimizer.step(tensors, grads.layer_weights + [grads.classifier_weights])
+            np.concatenate(
+                [g.reshape(-1) for g in grads.layer_weights + [grads.classifier_weights]],
+                out=grad,
+            )
+            optimizer.step(params.flat, grad)
         record = {
             "epoch": epoch,
             "loss": total_loss / len(dataset),
@@ -404,18 +465,18 @@ def train(
 # --------------------------------------------------------------- evaluation
 
 
+def _tie_groups(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each score's tie group in ascending score order, and each group's size."""
+    _, group, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    return group, counts
+
+
 def _roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
     """Rank-statistic AUC with midranks for ties (Mann-Whitney)."""
-    order = np.argsort(scores, kind="stable")
-    ranks = np.empty(len(scores))
-    sorted_scores = scores[order]
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    group, counts = _tie_groups(scores)
+    last = np.cumsum(counts) - 1  # 0-based sorted position of each group's last score
+    first = last - counts + 1
+    ranks = (0.5 * (first + last) + 1.0)[group]
     n_pos = int(labels.sum())
     n_neg = len(labels) - n_pos
     rank_sum = ranks[labels == 1].sum()
@@ -424,25 +485,16 @@ def _roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
 
 def _pr_auc(scores: np.ndarray, labels: np.ndarray) -> float:
     """Average precision over descending score thresholds (ties grouped)."""
-    order = np.argsort(-scores, kind="stable")
-    sorted_scores = scores[order]
-    sorted_labels = labels[order]
+    group, counts = _tie_groups(scores)
+    # groups from the highest score down
+    group_pos = np.bincount(group, weights=labels, minlength=len(counts))[::-1]
+    seen = np.cumsum(counts[::-1])
+    tp = np.cumsum(group_pos)
     n_pos = int(labels.sum())
-    ap = 0.0
-    tp = 0
-    seen = 0
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        group_pos = int(sorted_labels[i : j + 1].sum())
-        tp += group_pos
-        seen = j + 1
-        if group_pos:
-            ap += (group_pos / n_pos) * (tp / seen)
-        i = j + 1
-    return ap
+    hit = group_pos > 0
+    terms = (group_pos[hit] / n_pos) * (tp[hit] / seen[hit])
+    # a running sum adds the terms left to right, as a loop over thresholds does
+    return float(np.cumsum(terms)[-1]) if terms.size else 0.0
 
 
 def evaluate(params: ModelParams, dataset) -> dict:
@@ -465,7 +517,40 @@ def evaluate(params: ModelParams, dataset) -> dict:
 
 # -------------------------------------------------------------- checkpoints
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+# format 2 stores each weight array as base64 of its little-endian float64
+# bytes, row-major; format 1 stored lists of JSON numbers and is still read
+WEIGHT_DTYPE = np.dtype("<f8")
+
+
+def _encode_weights(array: np.ndarray) -> str:
+    raw = np.ascontiguousarray(array, dtype=WEIGHT_DTYPE).tobytes()
+    return base64.b64encode(raw).decode("ascii")
+
+
+def _decode_weights(stored, shape, version: int, name: str) -> np.ndarray:
+    """One weight array of a checkpoint, checked against its recorded shape."""
+    if not (
+        isinstance(shape, list)
+        and len(shape) == 2
+        and all(type(d) is int and d > 0 for d in shape)
+    ):
+        raise ConfigurationError(
+            f"checkpoint {name} shape must be two positive integers, got {shape!r}"
+        )
+    size = math.prod(shape)
+    try:
+        if version == 1:
+            flat = np.array(stored, dtype=np.float64)
+        else:
+            flat = np.frombuffer(base64.b64decode(stored, validate=True), dtype=WEIGHT_DTYPE)
+    except (TypeError, ValueError) as err:
+        raise ConfigurationError(f"checkpoint {name} cannot be decoded: {err}") from err
+    if flat.shape != (size,):
+        raise ConfigurationError(
+            f"checkpoint {name} holds {flat.size} values, its shape {shape} needs {size}"
+        )
+    return flat.reshape(shape)
 
 
 def checkpoint_to_json(
@@ -479,9 +564,9 @@ def checkpoint_to_json(
         "featurization": scheme.to_dict(),
         "layer_sizes": list(params.layer_sizes),
         "n_classes": params.n_classes,
-        "layer_weights": [w.reshape(-1).tolist() for w in params.layer_weights],
+        "layer_weights": [_encode_weights(w) for w in params.layer_weights],
         "layer_shapes": [list(w.shape) for w in params.layer_weights],
-        "classifier_weights": params.classifier_weights.reshape(-1).tolist(),
+        "classifier_weights": _encode_weights(params.classifier_weights),
         "classifier_shape": list(params.classifier_weights.shape),
         "train_config": cfg.to_dict(),
         "seed": cfg.seed if seed is None else seed,
@@ -490,25 +575,45 @@ def checkpoint_to_json(
 
 
 def checkpoint_from_json(text: str) -> tuple[ModelParams, TrainConfig, FeaturizationScheme, int]:
+    """Read a format 1 or 2 checkpoint. Every array is checked against its
+    shape, and the shapes against each other, layer_sizes and n_classes;
+    any mismatch raises ConfigurationError."""
     payload = json.loads(text)
     version = payload.get("format_version")
-    if version != CHECKPOINT_VERSION:
+    if version not in (1, CHECKPOINT_VERSION):
         raise ConfigurationError(f"unsupported checkpoint format_version {version!r}")
-    weights = [
-        np.array(flat).reshape(shape)
-        for flat, shape in zip(payload["layer_weights"], payload["layer_shapes"])
-    ]
-    classifier = np.array(payload["classifier_weights"]).reshape(
-        payload["classifier_shape"]
-    )
-    params = ModelParams(
-        layer_weights=weights,
-        classifier_weights=classifier,
-        layer_sizes=tuple(payload["layer_sizes"]),
-    )
-    cfg = TrainConfig.from_dict(payload["train_config"])
-    scheme = FeaturizationScheme.from_dict(payload["featurization"])
-    return params, cfg, scheme, int(payload["seed"])
+    try:
+        layer_weights, layer_shapes = payload["layer_weights"], payload["layer_shapes"]
+        if len(layer_weights) != len(layer_shapes):
+            raise ConfigurationError(
+                f"checkpoint has {len(layer_weights)} layer arrays but {len(layer_shapes)} shapes"
+            )
+        weights = [
+            _decode_weights(stored, shape, version, f"layer {l} weights")
+            for l, (stored, shape) in enumerate(zip(layer_weights, layer_shapes), start=1)
+        ]
+        classifier = _decode_weights(
+            payload["classifier_weights"],
+            payload["classifier_shape"],
+            version,
+            "classifier weights",
+        )
+        params = ModelParams(
+            layer_weights=weights,
+            classifier_weights=classifier,
+            layer_sizes=tuple(payload["layer_sizes"]),
+        )
+        if payload["n_classes"] != params.n_classes:
+            raise ConfigurationError(
+                f"checkpoint n_classes {payload['n_classes']!r} disagrees with "
+                f"classifier shape {list(classifier.shape)}"
+            )
+        cfg = TrainConfig.from_dict(payload["train_config"])
+        scheme = FeaturizationScheme.from_dict(payload["featurization"])
+        seed = int(payload["seed"])
+    except KeyError as err:
+        raise ConfigurationError(f"checkpoint lacks the key {err}") from err
+    return params, cfg, scheme, seed
 
 
 def save_checkpoint(path, params, cfg, scheme=DEFAULT_SCHEME, seed=None) -> None:

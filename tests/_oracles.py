@@ -320,7 +320,9 @@ def _reference_heatmap(graph, params, trace, method, class_id) -> np.ndarray:
     if method in ("gradient", "grad_cam", "grad_cam_avg"):
         grads = score_gradients(trace, graph, params, class_id)
         if method == "gradient":
-            return np.array([np.sqrt(sum(max(x, 0.0) ** 2 for x in row)) for row in grads.input])
+            return np.array(
+                [np.sqrt(sum(max(x, 0.0) ** 2 for x in row)) for row in grads.activations[0]]
+            )
         layers = [n_layers] if method == "grad_cam" else range(1, n_layers + 1)
         maps = [
             np.maximum(trace.activations[l] @ grads.activations[l].mean(axis=0), 0.0)
@@ -386,3 +388,110 @@ def reference_metric_suite(params, dataset, methods, threshold) -> list[dict]:
             }
         )
     return reports
+
+
+# ------------------------------------------------------- per-tensor training
+class ReferenceAdam:
+    """ADAM as it ran before the flat parameter vector: one update per
+    tensor, each expression allocating its own temporaries."""
+
+    def __init__(self, shapes, lr, beta1, beta2, eps):
+        self.lr = lr
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.eps = eps
+        self.t = 0
+        self.m = [np.zeros(s) for s in shapes]
+        self.v = [np.zeros(s) for s in shapes]
+
+    def step(self, tensors: list[np.ndarray], grads: list[np.ndarray]) -> None:
+        self.t += 1
+        correction1 = 1.0 - self.beta1**self.t
+        correction2 = 1.0 - self.beta2**self.t
+        for i, (theta, g) in enumerate(zip(tensors, grads)):
+            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
+            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g
+            m_hat = self.m[i] / correction1
+            v_hat = self.v[i] / correction2
+            theta -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+def reference_train(dataset, cfg, validation=None):
+    """model.train's loop with ReferenceAdam stepping each weight tensor
+    separately. Returns (weights, history, best_epoch), where weights holds
+    copies of W^1..W^L and the classifier."""
+    from gcnx.model import _accuracy, class_weights, forward, init_params, loss_gradients
+
+    labels = [y for _, y in dataset]
+    n_classes = max(labels) + 1
+    rng = np.random.default_rng(cfg.seed)
+    params = init_params(dataset[0][0].feature_dim, cfg.layer_sizes, n_classes, seed=cfg.seed)
+    weights = class_weights(labels, n_classes) if cfg.class_weighting else np.ones(n_classes)
+    tensors = params.layer_weights + [params.classifier_weights]
+    optimizer = ReferenceAdam(
+        [t.shape for t in tensors], cfg.learning_rate, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps
+    )
+    history, best, best_params = [], None, None
+    for epoch in range(cfg.epochs):
+        total_loss = 0.0
+        for idx in rng.permutation(len(dataset)):
+            graph, label = dataset[idx]
+            loss, grads = loss_gradients(forward(graph, params), graph, params, label, weights[label])
+            total_loss += loss
+            optimizer.step(tensors, grads.layer_weights + [grads.classifier_weights])
+        record = {
+            "epoch": epoch,
+            "loss": total_loss / len(dataset),
+            "train_accuracy": _accuracy(params, dataset),
+        }
+        if validation:
+            record["val_accuracy"] = val_acc = _accuracy(params, validation)
+            if best is None or val_acc >= best[0]:
+                best = (val_acc, epoch)
+                best_params = [t.copy() for t in tensors]
+        history.append(record)
+    if validation and best_params is not None:
+        return best_params, history, best[1]
+    return [t.copy() for t in tensors], history, None
+
+
+# ------------------------------------------------------------- AUC by loops
+def loop_roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
+    """Midrank AUC from while loops over the sorted scores."""
+    order = np.argsort(scores, kind="stable")
+    ranks = np.empty(len(scores))
+    sorted_scores = scores[order]
+    i = 0
+    while i < len(scores):
+        j = i
+        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    n_pos = int(labels.sum())
+    n_neg = len(labels) - n_pos
+    rank_sum = ranks[labels == 1].sum()
+    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+def loop_pr_auc(scores: np.ndarray, labels: np.ndarray) -> float:
+    """Average precision accumulated threshold by threshold in a while loop."""
+    order = np.argsort(-scores, kind="stable")
+    sorted_scores = scores[order]
+    sorted_labels = labels[order]
+    n_pos = int(labels.sum())
+    ap = 0.0
+    tp = 0
+    seen = 0
+    i = 0
+    while i < len(scores):
+        j = i
+        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        group_pos = int(sorted_labels[i : j + 1].sum())
+        tp += group_pos
+        seen = j + 1
+        if group_pos:
+            ap += (group_pos / n_pos) * (tp / seen)
+        i = j + 1
+    return ap

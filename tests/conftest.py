@@ -1,3 +1,5 @@
+import base64
+
 import numpy as np
 
 from gcnx.graphs import AttributedGraph, ElementLabel
@@ -95,3 +97,8 @@ def manual_params(layer_weights, classifier_weights):
         classifier_weights=np.asarray(classifier_weights, dtype=float),
         layer_sizes=tuple(w.shape[1] for w in weights),
     )
+
+
+def drop_last_value(encoded: str) -> str:
+    """A format-2 weight payload with its last float64 removed."""
+    return base64.b64encode(base64.b64decode(encoded)[:-8]).decode("ascii")

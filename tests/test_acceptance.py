@@ -92,10 +92,10 @@ def test_gradient_correctness():
             return cross_entropy(forward(graph.with_features(x), params), label, 1.3)
 
         assert max_relative_error(
-            grads.input, central_difference(score_of_x, graph.node_features.copy())
+            grads.activations[0], central_difference(score_of_x, graph.node_features.copy())
         ) < 1e-5
         assert max_relative_error(
-            lgrads.input, central_difference(loss_of_x, graph.node_features.copy())
+            lgrads.activations[0], central_difference(loss_of_x, graph.node_features.copy())
         ) < 1e-5
 
         for l in range(params.n_layers):

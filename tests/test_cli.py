@@ -7,6 +7,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from conftest import drop_last_value
 from gcnx.cli import main
 
 
@@ -240,6 +241,43 @@ class TestExplain:
         )
         assert code == 2
         assert "batch_size" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (
+                lambda d: d.update(
+                    layer_weights=[d["layer_weights"][0], drop_last_value(d["layer_weights"][1])]
+                ),
+                "holds 127",
+            ),
+            (lambda d: d.update(classifier_weights="@@not base64@@"), "cannot be decoded"),
+            (lambda d: d.update(layer_shapes=[[23, 8], [16, 8]], layer_sizes=[8, 8]), "chain"),
+            (lambda d: d.update(layer_sizes=[8, 32]), "layer_sizes"),
+            (lambda d: d.update(n_classes=3), "n_classes"),
+            (lambda d: d["featurization"].update(max_degree=4), "featurization width"),
+        ],
+    )
+    def test_inconsistent_checkpoint_exit_2_before_writing(
+        self, trained, tmp_path, capsys, corrupt, message
+    ):
+        payload = json.loads((trained / "checkpoint.json").read_text())
+        assert payload["layer_shapes"] == [[23, 8], [8, 16]]
+        corrupt(payload)
+        checkpoint = tmp_path / "checkpoint.json"
+        checkpoint.write_text(json.dumps(payload), encoding="utf-8")
+        out = tmp_path / "out"
+        code = main(
+            [
+                "explain",
+                "--data", "synth:NO:4",
+                "--checkpoint", str(checkpoint),
+                "--out-dir", str(out),
+            ]
+        )
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestMetrics:

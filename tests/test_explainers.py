@@ -52,7 +52,7 @@ class TestGradientSaliency:
         t = forward(g, p)
         grads = score_gradients(t, g, p, 0)
         h = MoleculeExplanations(g, p, t).heatmap("gradient", 0)
-        dead = np.all(grads.input <= 0.0, axis=1)
+        dead = np.all(grads.activations[0] <= 0.0, axis=1)
         assert np.all(h.values[dead] == 0.0)
 
 
@@ -235,7 +235,7 @@ class TestMoleculeExplanations:
         source = MoleculeExplanations(g, p, t)
         for c in (0, 1):
             grads = score_gradients(t, g, p, c)
-            clamped = np.maximum(grads.input, 0.0)
+            clamped = np.maximum(grads.activations[0], 0.0)
             expected = np.sqrt((clamped * clamped).sum(axis=1))
             assert np.max(np.abs(source.heatmap("gradient", c).values - expected)) <= 1e-12
             for layer in (1, 2, 3):

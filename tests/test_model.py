@@ -1,13 +1,19 @@
+import base64
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import manual_params, random_instance, single_node_graph
+from conftest import drop_last_value, manual_params, random_instance, single_node_graph
+from gcnx.datasets import SplitSpec, split, synth_motif_set
 from gcnx.graphs import AttributedGraph, ElementLabel
 from gcnx.model import (
     AdamOptimizer,
     ConfigurationError,
+    ModelParams,
     StaleTraceError,
     TrainConfig,
     TrainingError,
@@ -24,7 +30,15 @@ from gcnx.model import (
     train,
 )
 
-from _oracles import central_difference, max_relative_error, pairwise_roc_auc
+from _oracles import (
+    ReferenceAdam,
+    central_difference,
+    loop_pr_auc,
+    loop_roc_auc,
+    max_relative_error,
+    pairwise_roc_auc,
+    reference_train,
+)
 
 # checkpoint_to_json(init_params(3, (2,), seed=13), TrainConfig(epochs=3,
 # layer_sizes=(2,), seed=13)) as written while TrainConfig still had a
@@ -108,7 +122,7 @@ class TestBackward:
         p = manual_params([np.zeros((3, 2))], np.ones((2, 2)))
         t = forward(g, p)
         grads = score_gradients(t, g, p, 0)
-        assert np.all(grads.input == 0.0)
+        assert np.all(grads.activations[0] == 0.0)
 
     def test_single_node_linear_regime(self):
         # all preactivations positive: dy^c/dX = (W w^c)^T
@@ -119,7 +133,7 @@ class TestBackward:
         t = forward(g, p)
         assert np.all(t.preactivations[0] > 0.0)
         grads = score_gradients(t, g, p, 0)
-        assert np.allclose(grads.input[0], w @ wc[:, 0], atol=1e-14)
+        assert np.allclose(grads.activations[0][0], w @ wc[:, 0], atol=1e-14)
 
     @pytest.mark.parametrize("seed", [101, 202, 303])
     def test_score_gradient_matches_finite_differences(self, seed):
@@ -132,7 +146,7 @@ class TestBackward:
                 return forward(g.with_features(x), p).scores[c]
 
             fd_x = central_difference(f_x, g.node_features.copy())
-            assert max_relative_error(grads.input, fd_x) < 1e-5
+            assert max_relative_error(grads.activations[0], fd_x) < 1e-5
 
             for l in range(p.n_layers):
 
@@ -166,7 +180,7 @@ class TestBackward:
             return cross_entropy(tt, label, weight)
 
         fd_x = central_difference(f_x, g.node_features.copy())
-        assert max_relative_error(grads.input, fd_x) < 1e-5
+        assert max_relative_error(grads.activations[0], fd_x) < 1e-5
 
         for l in range(p.n_layers):
 
@@ -223,20 +237,84 @@ class TestOcclusion:
         assert np.array_equal(out.adjacency, g.adjacency)
 
 
+class TestParams:
+    def test_weights_are_views_into_flat(self):
+        p = init_params(5, (3, 4), n_classes=3, seed=2)
+        assert p.flat.shape == (5 * 3 + 3 * 4 + 4 * 3,)
+        for w in p.layer_weights + [p.classifier_weights]:
+            assert np.shares_memory(w, p.flat)
+        p.flat[-1] = 7.0
+        assert p.classifier_weights[-1, -1] == 7.0
+
+    def test_copy_is_independent(self):
+        p = init_params(5, (3, 4), seed=2)
+        q = p.copy()
+        assert not np.shares_memory(p.flat, q.flat)
+        assert q.flat.tobytes() == p.flat.tobytes()
+        q.flat += 1.0
+        assert np.array_equal(p.flat + 1.0, q.flat)
+
+    def test_construction_does_not_alias_inputs(self):
+        w, wc = np.ones((2, 3)), np.ones((3, 2))
+        p = manual_params([w], wc)
+        p.flat[:] = 0.0
+        assert np.all(w == 1.0) and np.all(wc == 1.0)
+
+    def test_unchained_shapes_rejected(self):
+        with pytest.raises(ConfigurationError, match="chain"):
+            manual_params([np.ones((2, 3)), np.ones((4, 5))], np.ones((5, 2)))
+        with pytest.raises(ConfigurationError, match="chain"):
+            manual_params([np.ones((2, 3))], np.ones((4, 2)))
+
+    def test_layer_sizes_must_match_shapes(self):
+        with pytest.raises(ConfigurationError, match="layer_sizes"):
+            ModelParams([np.ones((2, 3))], np.ones((3, 2)), layer_sizes=(4,))
+
+
 class TestAdam:
     def test_zero_gradient_is_noop(self):
         theta = np.array([[1.0, -2.0], [0.5, 3.0]])
-        opt = AdamOptimizer([theta.shape], 0.01, 0.9, 0.999, 1e-8)
+        opt = AdamOptimizer(theta.shape, 0.01, 0.9, 0.999, 1e-8)
         before = theta.copy()
-        opt.step([theta], [np.zeros_like(theta)])
+        opt.step(theta, np.zeros_like(theta))
         assert np.array_equal(theta, before)
 
     def test_descends_quadratic(self):
         theta = np.array([5.0])
-        opt = AdamOptimizer([(1,)], 0.1, 0.9, 0.999, 1e-8)
+        opt = AdamOptimizer((1,), 0.1, 0.9, 0.999, 1e-8)
         for _ in range(500):
-            opt.step([theta], [2.0 * theta])
+            opt.step(theta, 2.0 * theta)
         assert abs(theta[0]) < 1e-3
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_flat_step_bit_equal_to_per_tensor_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        shapes = [tuple(int(d) for d in rng.integers(1, 9, size=2)) for _ in range(4)]
+        hyper = (float(rng.uniform(1e-4, 0.1)), 0.9, 0.999, 1e-8)
+        tensors = [rng.normal(size=s) for s in shapes]
+        flat = np.concatenate([t.reshape(-1) for t in tensors])
+        flat_opt = AdamOptimizer(flat.shape, *hyper)
+        ref_opt = ReferenceAdam(shapes, *hyper)
+        for step in range(25):
+            scale = 0.0 if step % 5 == 3 else float(rng.choice([1e-6, 1.0, 1e3]))
+            grads = [scale * rng.normal(size=s) for s in shapes]
+            flat_opt.step(flat, np.concatenate([g.reshape(-1) for g in grads]))
+            ref_opt.step(tensors, grads)
+            for packed, parts in ((flat, tensors), (flat_opt.m, ref_opt.m), (flat_opt.v, ref_opt.v)):
+                assert packed.tobytes() == b"".join(part.tobytes() for part in parts)
+
+    def test_step_allocates_less_than_one_vector(self):
+        rng = np.random.default_rng(0)
+        theta, grad = rng.normal(size=100_000), rng.normal(size=100_000)
+        opt = AdamOptimizer(theta.shape, 0.001, 0.9, 0.999, 1e-8)
+        opt.step(theta, grad)
+        tracemalloc.start()
+        try:
+            opt.step(theta, grad)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < theta.nbytes
 
 
 def separable_toy_set():
@@ -263,6 +341,23 @@ class TestTraining:
             r1.params.classifier_weights, r2.params.classifier_weights
         )
         assert r1.history == r2.history
+
+    @pytest.mark.parametrize("with_validation", [True, False])
+    def test_bit_identical_to_per_tensor_loop(self, with_validation):
+        # at seed 3 validation accuracy peaks at epoch 2 of 4, so returning
+        # the live vector instead of the epoch-2 copy changes the weights
+        train_set, val_set, _ = split(
+            synth_motif_set(40, "NO", seed=3), SplitSpec(seed=3, stratified=True)
+        )
+        cfg = TrainConfig(epochs=4, layer_sizes=(16, 32, 64), seed=3, learning_rate=0.01)
+        validation = val_set.graph_pairs() if with_validation else None
+        result = train(train_set.graph_pairs(), cfg, validation=validation)
+        weights, history, best_epoch = reference_train(train_set.graph_pairs(), cfg, validation)
+        assert result.best_epoch == best_epoch == (2 if with_validation else None)
+        assert result.history == history
+        trained = result.params.layer_weights + [result.params.classifier_weights]
+        for w, ref in zip(trained, weights, strict=True):
+            assert w.tobytes() == ref.tobytes()
 
     def test_single_class_rejected(self):
         g = single_node_graph([1.0, 0.0])
@@ -331,6 +426,28 @@ class TestEvaluate:
             pairwise_roc_auc(scores, labels), abs=1e-12
         )
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(
+                    st.sampled_from([0.0, -0.0, 0.1, 0.5, 1 / 3, 0.9, 1.0, 5e-324]),
+                    st.floats(0.0, 1.0),
+                ),
+                st.integers(0, 1),
+            ),
+            min_size=2,
+            max_size=80,
+        ).filter(lambda rows: len({y for _, y in rows}) == 2)
+    )
+    def test_auc_helpers_equal_loops_exactly(self, rows):
+        from gcnx.model import _pr_auc, _roc_auc
+
+        scores = np.array([s for s, _ in rows])
+        labels = np.array([y for _, y in rows])
+        assert _roc_auc(scores, labels) == loop_roc_auc(scores, labels)
+        assert _pr_auc(scores, labels) == loop_pr_auc(scores, labels)
+
     def test_one_class_reports_absent_auc(self):
         g = single_node_graph([1.0, 0.0])
         p = init_params(2, (3,), seed=1)
@@ -363,7 +480,22 @@ class TestCheckpoint:
         assert expected.classifier_weights.tobytes() == params.classifier_weights.tobytes()
         legacy = json.loads(LEGACY_CHECKPOINT)
         del legacy["train_config"]["batch_size"]
-        assert json.loads(checkpoint_to_json(params, cfg, scheme, seed)) == legacy
+        written = json.loads(checkpoint_to_json(params, cfg, scheme, seed))
+        assert "batch_size" not in written["train_config"]
+        # format 2 changes the version and the weight encoding, nothing else
+        weight_fields = {"format_version", "layer_weights", "classifier_weights"}
+        assert {k: v for k, v in written.items() if k not in weight_fields} == {
+            k: v for k, v in legacy.items() if k not in weight_fields
+        }
+        reloaded, _, _, _ = checkpoint_from_json(json.dumps(written))
+        for w, flat, shape in zip(
+            reloaded.layer_weights, legacy["layer_weights"], legacy["layer_shapes"]
+        ):
+            assert w.tobytes() == np.array(flat).reshape(shape).tobytes()
+        assert (
+            reloaded.classifier_weights.tobytes()
+            == np.array(legacy["classifier_weights"]).reshape(legacy["classifier_shape"]).tobytes()
+        )
 
     def test_written_config_has_no_batch_size(self):
         cfg = TrainConfig(epochs=1, layer_sizes=(2,))
@@ -383,4 +515,48 @@ class TestCheckpoint:
         payload = json.loads(checkpoint_to_json(p, cfg))
         payload["format_version"] = 99
         with pytest.raises(ConfigurationError):
+            checkpoint_from_json(json.dumps(payload))
+
+    def test_non_finite_and_signed_zero_weights_round_trip_bit_exact(self):
+        w = np.array([[np.nan, np.inf, -np.inf], [-0.0, 5e-324, -1.5e308]])
+        p = manual_params([w], np.array([[1.0, np.nan], [-np.inf, 0.0], [2.0, -0.0]]))
+        cfg = TrainConfig(epochs=1, layer_sizes=(3,))
+        text = checkpoint_to_json(p, cfg)
+        params2, cfg2, scheme2, seed2 = checkpoint_from_json(text)
+        assert params2.flat.tobytes() == p.flat.tobytes()
+        assert checkpoint_to_json(params2, cfg2, scheme2, seed2) == text
+
+    def test_weights_stored_as_little_endian_float64(self):
+        p = init_params(3, (2,), seed=13)
+        payload = json.loads(checkpoint_to_json(p, TrainConfig(epochs=1, layer_sizes=(2,))))
+        assert payload["format_version"] == 2
+        raw = base64.b64decode(payload["layer_weights"][0])
+        assert raw == p.layer_weights[0].astype("<f8").tobytes()
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda d: d.update(layer_weights=[drop_last_value(d["layer_weights"][0])]), "holds 5"),
+            (lambda d: d.update(layer_weights=[d["layer_weights"][0][:-4]]), "multiple"),
+            (lambda d: d.update(classifier_weights="not base64!"), "cannot be decoded"),
+            (lambda d: d.update(classifier_weights=[1.0, 2.0, 3.0, 4.0]), "cannot be decoded"),
+            (lambda d: d.update(layer_shapes=[[2, 3]]), "chain"),
+            (lambda d: d.update(layer_sizes=[3]), "layer_sizes"),
+            (lambda d: d.update(n_classes=3), "n_classes"),
+            (lambda d: d.update(layer_shapes=[[3, 2], [2, 2]]), "2 shapes"),
+            (lambda d: d.update(classifier_shape=[2]), "shape must be"),
+            (lambda d: d.pop("classifier_shape"), "classifier_shape"),
+        ],
+    )
+    def test_inconsistent_checkpoint_rejected(self, corrupt, message):
+        p = init_params(3, (2,), seed=13)
+        payload = json.loads(checkpoint_to_json(p, TrainConfig(epochs=1, layer_sizes=(2,))))
+        corrupt(payload)
+        with pytest.raises(ConfigurationError, match=message):
+            checkpoint_from_json(json.dumps(payload))
+
+    def test_v1_payload_with_wrong_length_rejected(self):
+        payload = json.loads(LEGACY_CHECKPOINT)
+        payload["layer_weights"][0].pop()
+        with pytest.raises(ConfigurationError, match="holds 5 values"):
             checkpoint_from_json(json.dumps(payload))
