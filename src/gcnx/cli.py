@@ -9,8 +9,9 @@ one explainers.MoleculeExplanations per molecule. explain writes each
 molecule's records, and with --render its depictions, before it moves to
 the next. Unknown or repeated --methods names, a negative --top-k, a
 checkpoint whose arrays, shapes, class count or featurization width
-disagree and, with --render, a molecule id that is not a single file-name
-component are usage errors (exit 2), raised before any artifact is written.
+disagree or whose config cannot be read and, with --render, a molecule id
+that is not a single file-name component are usage errors (exit 2), raised
+before any artifact is written.
 """
 
 from __future__ import annotations

@@ -8,11 +8,11 @@ are normalized jointly so they form a single probability distribution.
 
 MoleculeExplanations is the one way to ask for a heatmap. It is built per
 molecule and computes each quantity once: one forward trace, one backward
-pass stacked over the classes for the gradient methods, and at most four
-excitation passes (base and negated classifier, per class) shared by eb and
-ceb. explain_pair reads a normalized class pair from it, so every pair
-asked of one source shares that work. excitation_backprop_trace keeps every
-intermediate mass of one pass, for conservation checks.
+pass stacked over the classes for the gradient methods, and one excitation
+pass stacked over four seeds (each class, with the classifier as it is and
+negated), shared by eb and ceb. explain_pair reads a normalized class pair
+from it, so every pair asked of one source shares that work. Both reverse
+passes carry their seeds as a leading axis through the layer loop.
 """
 
 from __future__ import annotations
@@ -59,89 +59,35 @@ def _safe_ratio(numerator: np.ndarray, denominator: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass
-class ExcitationTrace:
-    """Per-layer backpropagated probability mass, for conservation checks.
-
-    p_activations[l] is the mass over F^l entries (l = 0..L);
-    p_propagated[l] the mass over the locally averaged features V @ F^l.
-    """
-
-    p_gap: np.ndarray
-    p_activations: list[np.ndarray]
-    p_propagated: list[np.ndarray]
-
-    @property
-    def heatmap_values(self) -> np.ndarray:
-        p_input = self.p_activations[0]
-        return p_input.sum(axis=1) / p_input.shape[1]
-
-    def layer_masses(self) -> list[float]:
-        masses = [float(self.p_gap.sum())]
-        masses.append(float(self.p_activations[-1].sum()))
-        for l in range(len(self.p_propagated) - 1, -1, -1):
-            masses.append(float(self.p_propagated[l].sum()))
-            masses.append(float(self.p_activations[l].sum()))
-        return masses
-
-
-def _perceptron_terms(
-    trace: ForwardTrace, params: ModelParams
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Element l is (W+, propagated[l] @ W+) with W+ = max(layer_weights[l], 0):
-    the part of the perceptron rule that depends on neither the class nor
-    the sign of the classifier."""
-    terms = []
-    for w, prop in zip(params.layer_weights, trace.propagated):
-        w_pos = np.maximum(w, 0.0)
-        terms.append((w_pos, prop @ w_pos))
-    return terms
-
-
 def excitation_backprop_trace(
-    trace: ForwardTrace,
-    graph: AttributedGraph,
-    params: ModelParams,
-    class_id: int,
-    negate_classifier: bool = False,
-    *,
-    perceptron_terms: list[tuple[np.ndarray, np.ndarray]] | None = None,
-) -> ExcitationTrace:
-    """Full excitation backprop with every intermediate mass retained.
+    trace: ForwardTrace, graph: AttributedGraph, params: ModelParams
+) -> np.ndarray:
+    """Excitation backprop (Zhang et al., arXiv 1608.00507) of every class,
+    with the classifier as it is and negated, as one pass.
 
-    perceptron_terms, if given, must be _perceptron_terms(trace, params);
-    it lets the passes over one molecule share those products."""
+    The 2C seeds, every classifier column and then every negated column,
+    ride a leading axis through the layer loop. Returns the per-node input
+    mass, shape (2, C, N) indexed [sign, class, node] with sign 1 the
+    negated classifier; each seed's values equal a pass run on it alone."""
     n = trace.n_nodes
     v = graph.norm_propagation
-    if perceptron_terms is None:
-        perceptron_terms = _perceptron_terms(trace, params)
-
-    classifier_column = params.classifier_weights[:, class_id]
-    if negate_classifier:
-        classifier_column = -classifier_column
-    excitation = trace.gap * np.maximum(classifier_column, 0.0)
-    p_gap = _safe_ratio(excitation, np.full_like(excitation, excitation.sum()))
-
-    p_act = trace.activations[-1] * _safe_ratio(p_gap, n * trace.gap)[None, :]
-    p_activations = [p_act]
-    p_propagated = []
+    columns = params.classifier_weights.T
+    excitation = trace.gap * np.maximum(np.concatenate([columns, -columns]), 0.0)
+    # each row summed on its own, so every seed's total matches a lone pass
+    totals = np.array([row.sum() for row in excitation])
+    p_gap = _safe_ratio(excitation, totals[:, None])
+    p_act = trace.activations[-1] * _safe_ratio(p_gap, n * trace.gap)[:, None, :]
 
     for l in range(trace.n_layers - 1, -1, -1):
-        w_pos, z = perceptron_terms[l]
+        w_pos = np.maximum(params.layer_weights[l], 0.0)
         prop = trace.propagated[l]
         # perceptron rule: split each output unit's mass over same-node inputs
-        p_prop = prop * (_safe_ratio(p_activations[-1], z) @ w_pos.T)
-        p_propagated.append(p_prop)
+        p_prop = prop * (_safe_ratio(p_act, prop @ w_pos) @ w_pos.T)
         # averaging rule: split each averaged unit's mass over contributing nodes
-        previous = trace.activations[l]
-        p_activations.append(previous * (v.T @ _safe_ratio(p_prop, prop)))
+        p_act = trace.activations[l] * (v.T @ _safe_ratio(p_prop, prop))
 
-    p_activations.reverse()
-    p_propagated.reverse()
-
-    return ExcitationTrace(
-        p_gap=p_gap, p_activations=p_activations, p_propagated=p_propagated
-    )
+    values = p_act.sum(axis=2) / p_act.shape[2]
+    return values.reshape(2, params.n_classes, n)
 
 
 # ------------------------------------------------------ per-molecule source
@@ -152,11 +98,10 @@ class MoleculeExplanations:
 
     It is built on one forward trace. The score gradients of all classes
     come from one stacked backward pass (model.class_score_gradients), which
-    gradient, grad_cam at any layer and grad_cam_avg all read. Excitation
-    passes, with the base or the negated classifier for each class, are
-    kept once run, so ceb reuses the base passes of eb: at most four passes
-    per molecule. They share max(W, 0) and its product with the trace.
-    cam reads the trace alone.
+    gradient, grad_cam at any layer and grad_cam_avg all read. The
+    excitation masses of every class and classifier sign come from one
+    stacked pass (excitation_backprop_trace), which eb and ceb both read;
+    it runs only if one of them is asked for. cam reads the trace alone.
     Everything is computed on first use.
     """
 
@@ -170,8 +115,7 @@ class MoleculeExplanations:
         self.params = params
         self.trace = forward(graph, params) if trace is None else trace
         self._gradients: list[np.ndarray] | None = None
-        self._perceptron_terms: list[tuple[np.ndarray, np.ndarray]] | None = None
-        self._excitation: dict[tuple[int, bool], np.ndarray] = {}
+        self._excitation: np.ndarray | None = None
 
     def _activation_gradients(self, class_id: int) -> list[np.ndarray]:
         """d(y^class_id)/dF^l for l = 0..L."""
@@ -183,20 +127,12 @@ class MoleculeExplanations:
         alpha = self._activation_gradients(class_id)[layer].mean(axis=0)
         return np.maximum(self.trace.activations[layer] @ alpha, 0.0)
 
-    def _excitation_values(self, class_id: int, negate: bool) -> np.ndarray:
-        key = (class_id, negate)
-        if key not in self._excitation:
-            if self._perceptron_terms is None:
-                self._perceptron_terms = _perceptron_terms(self.trace, self.params)
-            self._excitation[key] = excitation_backprop_trace(
-                self.trace,
-                self.graph,
-                self.params,
-                class_id,
-                negate_classifier=negate,
-                perceptron_terms=self._perceptron_terms,
-            ).heatmap_values
-        return self._excitation[key]
+    def _excitation_masses(self, class_id: int) -> np.ndarray:
+        """Excitation input masses of class_id: row 0 with the classifier as
+        it is, row 1 with it negated."""
+        if self._excitation is None:
+            self._excitation = excitation_backprop_trace(self.trace, self.graph, self.params)
+        return self._excitation[:, class_id]
 
     def heatmap(self, method: str, class_id: int, layer: int | None = None) -> Heatmap:
         """One class's heatmap; layer applies to grad_cam only (default: the
@@ -230,10 +166,9 @@ class MoleculeExplanations:
                 values += self._grad_cam_values(class_id, l)
             values = values / trace.n_layers
         elif method == "eb":
-            values = self._excitation_values(class_id, False)
+            values = self._excitation_masses(class_id)[0]
         elif method == "ceb":
-            base = self._excitation_values(class_id, False)
-            opposite = self._excitation_values(class_id, True)
+            base, opposite = self._excitation_masses(class_id)
             values = np.maximum(base - opposite, 0.0)
             total = values.sum()
             if total > 0.0:
@@ -270,7 +205,7 @@ def explain_pair(
     """Normalized (positive-class, negative-class) heatmap pair.
 
     Class 1 is treated as the positive class throughout the pipeline. Pairs
-    asked of the same source share its gradients and excitation passes."""
+    asked of the same source share its gradients and excitation pass."""
     return normalize_pair(
         source.heatmap(method, 1, layer), source.heatmap(method, 0, layer)
     )

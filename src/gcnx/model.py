@@ -11,7 +11,7 @@ from __future__ import annotations
 import base64
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -67,6 +67,9 @@ class TrainConfig:
         # older checkpoints record the removed minibatch size, which was always 1
         if d.pop("batch_size", 1) != 1:
             raise ConfigurationError("train_config.batch_size must be 1 if present")
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ConfigurationError(f"train_config has unknown keys {unknown}")
         d["layer_sizes"] = tuple(d["layer_sizes"])
         return cls(**d)
 
@@ -161,13 +164,12 @@ class ForwardTrace:
     """Every intermediate of one forward pass, as the explainers need them.
 
     activations[l] is F^l with F^0 = X (N x d_l). propagated[l] is V @ F^l,
-    the locally averaged features entering layer l+1's perceptron, and
-    preactivations[l] is propagated[l] @ W^{l+1}, both indexed 0..L-1.
+    the locally averaged features entering layer l+1's perceptron, indexed
+    0..L-1.
     """
 
     activations: list[np.ndarray]
     propagated: list[np.ndarray]
-    preactivations: list[np.ndarray]
     gap: np.ndarray
     scores: np.ndarray
     probabilities: np.ndarray
@@ -195,21 +197,17 @@ def forward(graph: AttributedGraph, params: ModelParams) -> ForwardTrace:
     v = graph.norm_propagation
     activations = [graph.node_features]
     propagated = []
-    preactivations = []
     current = graph.node_features
     for w in params.layer_weights:
         prop = v @ current
-        pre = prop @ w
-        current = np.maximum(pre, 0.0)
+        current = np.maximum(prop @ w, 0.0)
         propagated.append(prop)
-        preactivations.append(pre)
         activations.append(current)
     gap = current.mean(axis=0)
     scores = gap @ params.classifier_weights
     return ForwardTrace(
         activations=activations,
         propagated=propagated,
-        preactivations=preactivations,
         gap=gap,
         scores=scores,
         probabilities=softmax(scores),
@@ -254,7 +252,8 @@ def _backprop(
     d_activations = [d_act]
     d_layer_weights = []
     for l in range(trace.n_layers - 1, -1, -1):
-        d_pre = d_act * (trace.preactivations[l] > 0.0)
+        # relu(x) > 0 exactly where x > 0, for every float including -0.0 and NaN
+        d_pre = d_act * (trace.activations[l + 1] > 0.0)
         if weight_grads:
             d_layer_weights.append(trace.propagated[l].T @ d_pre)
         d_prop = d_pre @ params.layer_weights[l].T
@@ -574,10 +573,22 @@ def checkpoint_to_json(
     return json.dumps(payload, sort_keys=True, indent=1)
 
 
+def _read_section(key: str, convert, payload: dict):
+    """convert(payload[key]), with a value it cannot convert reported as a
+    ConfigurationError that names the key."""
+    try:
+        return convert(payload[key])
+    except ConfigurationError:
+        raise
+    except (TypeError, ValueError) as err:
+        raise ConfigurationError(f"checkpoint {key} cannot be read: {err}") from err
+
+
 def checkpoint_from_json(text: str) -> tuple[ModelParams, TrainConfig, FeaturizationScheme, int]:
     """Read a format 1 or 2 checkpoint. Every array is checked against its
     shape, and the shapes against each other, layer_sizes and n_classes;
-    any mismatch raises ConfigurationError."""
+    any mismatch, and a config or scheme that cannot be read, raises
+    ConfigurationError."""
     payload = json.loads(text)
     version = payload.get("format_version")
     if version not in (1, CHECKPOINT_VERSION):
@@ -608,9 +619,9 @@ def checkpoint_from_json(text: str) -> tuple[ModelParams, TrainConfig, Featuriza
                 f"checkpoint n_classes {payload['n_classes']!r} disagrees with "
                 f"classifier shape {list(classifier.shape)}"
             )
-        cfg = TrainConfig.from_dict(payload["train_config"])
-        scheme = FeaturizationScheme.from_dict(payload["featurization"])
-        seed = int(payload["seed"])
+        cfg = _read_section("train_config", TrainConfig.from_dict, payload)
+        scheme = _read_section("featurization", FeaturizationScheme.from_dict, payload)
+        seed = _read_section("seed", int, payload)
     except KeyError as err:
         raise ConfigurationError(f"checkpoint lacks the key {err}") from err
     return params, cfg, scheme, seed

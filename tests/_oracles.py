@@ -7,9 +7,13 @@ library code paths it checks.
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
+
+from gcnx.graphs import AttributedGraph
+from gcnx.model import ForwardTrace, ModelParams
 
 
 # ---------------------------------------------------------------- components
@@ -291,6 +295,101 @@ def straight_line_eb(x, v, w, wc, target_class):
     return np.array([sum(p_x[m][k] for k in range(d_in)) / d_in for m in range(n)])
 
 
+# ----------------------------------------- excitation backprop, seed by seed
+# The per-seed excitation pass as gcnx ran it before the stacked pass: one
+# call per (class, classifier sign), keeping every intermediate mass.
+def _safe_ratio(numerator: np.ndarray, denominator: np.ndarray) -> np.ndarray:
+    """Elementwise numerator/denominator with the 0/0 -> 0 convention."""
+    out = np.zeros_like(numerator, dtype=np.float64)
+    np.divide(numerator, denominator, out=out, where=denominator != 0.0)
+    return out
+
+
+@dataclass
+class ExcitationTrace:
+    """Per-layer backpropagated probability mass, for conservation checks.
+
+    p_activations[l] is the mass over F^l entries (l = 0..L);
+    p_propagated[l] the mass over the locally averaged features V @ F^l.
+    """
+
+    p_gap: np.ndarray
+    p_activations: list[np.ndarray]
+    p_propagated: list[np.ndarray]
+
+    @property
+    def heatmap_values(self) -> np.ndarray:
+        p_input = self.p_activations[0]
+        return p_input.sum(axis=1) / p_input.shape[1]
+
+    def layer_masses(self) -> list[float]:
+        masses = [float(self.p_gap.sum())]
+        masses.append(float(self.p_activations[-1].sum()))
+        for l in range(len(self.p_propagated) - 1, -1, -1):
+            masses.append(float(self.p_propagated[l].sum()))
+            masses.append(float(self.p_activations[l].sum()))
+        return masses
+
+
+def _perceptron_terms(
+    trace: ForwardTrace, params: ModelParams
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Element l is (W+, propagated[l] @ W+) with W+ = max(layer_weights[l], 0):
+    the part of the perceptron rule that depends on neither the class nor
+    the sign of the classifier."""
+    terms = []
+    for w, prop in zip(params.layer_weights, trace.propagated):
+        w_pos = np.maximum(w, 0.0)
+        terms.append((w_pos, prop @ w_pos))
+    return terms
+
+
+def excitation_backprop_trace(
+    trace: ForwardTrace,
+    graph: AttributedGraph,
+    params: ModelParams,
+    class_id: int,
+    negate_classifier: bool = False,
+    *,
+    perceptron_terms: list[tuple[np.ndarray, np.ndarray]] | None = None,
+) -> ExcitationTrace:
+    """Full excitation backprop with every intermediate mass retained.
+
+    perceptron_terms, if given, must be _perceptron_terms(trace, params);
+    it lets the passes over one molecule share those products."""
+    n = trace.n_nodes
+    v = graph.norm_propagation
+    if perceptron_terms is None:
+        perceptron_terms = _perceptron_terms(trace, params)
+
+    classifier_column = params.classifier_weights[:, class_id]
+    if negate_classifier:
+        classifier_column = -classifier_column
+    excitation = trace.gap * np.maximum(classifier_column, 0.0)
+    p_gap = _safe_ratio(excitation, np.full_like(excitation, excitation.sum()))
+
+    p_act = trace.activations[-1] * _safe_ratio(p_gap, n * trace.gap)[None, :]
+    p_activations = [p_act]
+    p_propagated = []
+
+    for l in range(trace.n_layers - 1, -1, -1):
+        w_pos, z = perceptron_terms[l]
+        prop = trace.propagated[l]
+        # perceptron rule: split each output unit's mass over same-node inputs
+        p_prop = prop * (_safe_ratio(p_activations[-1], z) @ w_pos.T)
+        p_propagated.append(p_prop)
+        # averaging rule: split each averaged unit's mass over contributing nodes
+        previous = trace.activations[l]
+        p_activations.append(previous * (v.T @ _safe_ratio(p_prop, prop)))
+
+    p_activations.reverse()
+    p_propagated.reverse()
+
+    return ExcitationTrace(
+        p_gap=p_gap, p_activations=p_activations, p_propagated=p_propagated
+    )
+
+
 # --------------------------------------------------------------- AUC by pairs
 def pairwise_roc_auc(scores, labels) -> float:
     """ROC-AUC as the positive-beats-negative pair statistic, ties at 1/2."""
@@ -309,7 +408,6 @@ def pairwise_roc_auc(scores, labels) -> float:
 # ------------------------------------------------------- explanation metrics
 def _reference_heatmap(graph, params, trace, method, class_id) -> np.ndarray:
     """One class's raw heatmap from its own backward or excitation passes."""
-    from gcnx.explainers import excitation_backprop_trace
     from gcnx.model import score_gradients
 
     n_layers = len(params.layer_weights)

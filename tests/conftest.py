@@ -42,7 +42,10 @@ def random_instance(
         if min_margin <= 0.0:
             return graph, params
         trace = forward(graph, params)
-        margin = min(np.abs(pre).min() for pre in trace.preactivations)
+        margin = min(
+            np.abs(prop @ w).min()
+            for prop, w in zip(trace.propagated, params.layer_weights)
+        )
         if margin > min_margin:
             return graph, params
     raise AssertionError("could not build instance clear of ReLU kinks")

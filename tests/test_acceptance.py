@@ -42,6 +42,7 @@ from _oracles import (
     central_difference,
     max_relative_error,
 )
+from _oracles import excitation_backprop_trace as per_seed_eb
 
 
 def criterion(number, title):
@@ -167,9 +168,13 @@ def test_eb_conservation():
         trace = forward(graph, params)
         assert min(float(a.min()) for a in trace.activations[1:]) > 0.0
         for class_id in (0, 1):
-            eb_trace = excitation_backprop_trace(trace, graph, params, class_id)
+            eb_trace = per_seed_eb(trace, graph, params, class_id)
             for mass in eb_trace.layer_masses():
                 assert abs(mass - 1.0) < 1e-9
+        input_mass = excitation_backprop_trace(trace, graph, params).sum(axis=-1)
+        input_mass *= graph.feature_dim
+        assert all(abs(m - 1.0) < 1e-9 for m in input_mass[0])
+        assert all(abs(m - 1.0) < 1e-9 or m == 0.0 for m in input_mass[1])
     # degenerate denominators: zero features transmit zero mass, no error
     graph = AttributedGraph(
         node_features=np.zeros((3, 4)),
@@ -180,8 +185,9 @@ def test_eb_conservation():
     )
     _, params = positive_instance(seed=5, d_in=4)
     trace = forward(graph, params)
-    eb_trace = excitation_backprop_trace(trace, graph, params, 1)
+    eb_trace = per_seed_eb(trace, graph, params, 1)
     assert all(mass == 0.0 for mass in eb_trace.layer_masses())
+    assert np.all(excitation_backprop_trace(trace, graph, params) == 0.0)
 
 
 # --------------------------------------------------------------- criterion 4

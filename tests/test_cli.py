@@ -256,6 +256,8 @@ class TestExplain:
             (lambda d: d.update(layer_sizes=[8, 32]), "layer_sizes"),
             (lambda d: d.update(n_classes=3), "n_classes"),
             (lambda d: d["featurization"].update(max_degree=4), "featurization width"),
+            (lambda d: d["train_config"].update(momentum=0.5), "unknown keys ['momentum']"),
+            (lambda d: d["featurization"].update(max_degree="x"), "featurization cannot be read"),
         ],
     )
     def test_inconsistent_checkpoint_exit_2_before_writing(

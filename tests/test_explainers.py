@@ -9,12 +9,43 @@ from gcnx.explainers import (
     excitation_backprop_trace,
     explain_pair,
     normalize_pair,
-    _perceptron_terms,
 )
 from gcnx.graphs import AttributedGraph
 from gcnx.model import forward, init_params, score_gradients
+from gcnx.smiles import parse_smiles
 
 from _oracles import central_difference, straight_line_eb, tail_class_score
+from _oracles import excitation_backprop_trace as per_seed_eb
+
+# The symmetric positives of the benchmark's symmetric-mine corpus.
+SYMMETRIC_POSITIVES = (
+    "FC(F)(F)C(F)(F)C(F)(F)F",
+    "FC(F)(F)C(F)(F)C(F)(F)C(F)(F)F",
+    "FC(F)(F)C(F)(F)C(F)(F)C(F)(F)C(F)(F)F",
+    "FC(F)(F)C(F)(F)C(F)(F)C(F)(F)C(F)(F)C(F)(F)F",
+    "ClC(Cl)(Cl)C(Cl)(Cl)Cl",
+    "ClC(Cl)(Cl)C(Cl)(Cl)C(Cl)(Cl)Cl",
+    "ClC(Cl)(Cl)C(Cl)(Cl)C(Cl)(Cl)C(Cl)(Cl)Cl",
+    "CCCC(C)(C)C",
+    "C(C)(C)CCCCC(C)(C)C",
+    "C(C)(C)CCC(C(C)(C)C)CC(C)(C)C",
+    "c1ccc2ccccc2c1",
+    "c1ccc2cc3ccccc3cc2c1",
+    "c1cc2ccc3cccc4ccc(c1)c2c34",
+    "C1C2CC3CC1CC(C2)C3",
+)
+
+
+def assert_stacked_equals_per_seed(g, p):
+    """Every (sign, class) row of the stacked pass equals, bit for bit, the
+    per-seed pass with that classifier column."""
+    t = forward(g, p)
+    stacked = excitation_backprop_trace(t, g, p)
+    assert stacked.shape == (2, p.n_classes, g.n_nodes)
+    for sign in (0, 1):
+        for c in range(p.n_classes):
+            expected = per_seed_eb(t, g, p, c, negate_classifier=bool(sign)).heatmap_values
+            assert np.array_equal(stacked[sign, c], expected)
 
 
 class TestGradientSaliency:
@@ -154,16 +185,22 @@ class TestExcitationBackprop:
         g, p = positive_instance(seed=seed)
         t = forward(g, p)
         assert min(np.min(a) for a in t.activations[1:]) > 0.0
-        eb_trace = excitation_backprop_trace(t, g, p, 1)
+        eb_trace = per_seed_eb(t, g, p, 1)
         for mass in eb_trace.layer_masses():
             assert mass == pytest.approx(1.0, abs=1e-9)
+        # input mass of each stacked seed: 1, or 0 if its column has no positive entry
+        input_mass = excitation_backprop_trace(t, g, p).sum(axis=-1) * g.feature_dim
+        assert input_mass[0, 1] == pytest.approx(1.0, abs=1e-9)
+        for mass in input_mass.ravel():
+            assert mass == pytest.approx(1.0, abs=1e-9) or mass == 0.0
 
     def test_degenerate_inputs_transmit_zero_mass(self):
         g = single_node_graph([0.0, 0.0])
         p = init_params(2, (3, 3), seed=1)
         t = forward(g, p)
-        eb_trace = excitation_backprop_trace(t, g, p, 0)
+        eb_trace = per_seed_eb(t, g, p, 0)
         assert all(m == 0.0 for m in eb_trace.layer_masses())
+        assert np.all(excitation_backprop_trace(t, g, p) == 0.0)
         h = MoleculeExplanations(g, p, t).heatmap("eb", 0)
         assert np.all(h.values == 0.0)
 
@@ -201,6 +238,28 @@ class TestExcitationBackprop:
                 assert np.all(h.values >= 0.0)
 
 
+class TestStackedExcitation:
+    @pytest.mark.parametrize("smiles", SYMMETRIC_POSITIVES)
+    def test_symmetric_molecules(self, smiles):
+        g = parse_smiles(smiles).graph
+        assert_stacked_equals_per_seed(g, init_params(g.feature_dim, (16, 32, 64), seed=5))
+
+    @pytest.mark.parametrize("widths", [(16, 32, 64), (128, 256, 512)])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_instances(self, widths, seed):
+        for positive in (False, True):
+            g, p = random_instance(seed=340 + seed, widths=widths, positive_features=positive)
+            assert_stacked_equals_per_seed(g, p)
+
+    def test_zero_feature_graph(self):
+        g, p = random_instance(seed=350, widths=(16, 32, 64))
+        assert_stacked_equals_per_seed(g.with_features(np.zeros_like(g.node_features)), p)
+
+    def test_single_node_graph(self):
+        g = single_node_graph([1.0, 0.5, 2.0])
+        assert_stacked_equals_per_seed(g, init_params(3, (16, 32, 64), seed=6))
+
+
 class TestMoleculeExplanations:
     @pytest.mark.parametrize("seed", range(6))
     def test_eb_and_ceb_equal_standalone_passes(self, seed):
@@ -208,8 +267,8 @@ class TestMoleculeExplanations:
         t = forward(g, p)
         source = MoleculeExplanations(g, p, t)
         for c in (0, 1):
-            base = excitation_backprop_trace(t, g, p, c).heatmap_values
-            opposite = excitation_backprop_trace(t, g, p, c, negate_classifier=True).heatmap_values
+            base = per_seed_eb(t, g, p, c).heatmap_values
+            opposite = per_seed_eb(t, g, p, c, negate_classifier=True).heatmap_values
             diff = np.maximum(base - opposite, 0.0)
             expected_ceb = diff / diff.sum() if diff.sum() > 0.0 else diff
             assert np.array_equal(source.heatmap("eb", c).values, base)
@@ -217,16 +276,6 @@ class TestMoleculeExplanations:
             assert np.array_equal(
                 MoleculeExplanations(g, p, t).heatmap("ceb", c).values, expected_ceb
             )
-
-    def test_shared_perceptron_terms_change_nothing(self):
-        g, p = random_instance(seed=310)
-        t = forward(g, p)
-        terms = _perceptron_terms(t, p)
-        for negate in (False, True):
-            a = excitation_backprop_trace(t, g, p, 1, negate)
-            b = excitation_backprop_trace(t, g, p, 1, negate, perceptron_terms=terms)
-            for x, y in zip(a.p_activations + a.p_propagated, b.p_activations + b.p_propagated):
-                assert np.array_equal(x, y)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_gradient_methods_equal_per_class_backprop(self, seed):
@@ -262,16 +311,22 @@ class TestMoleculeExplanations:
         monkeypatch.setattr(explainers, "class_score_gradients", counting_backprop)
         monkeypatch.setattr(explainers, "excitation_backprop_trace", counting_eb)
         g, p = random_instance(seed=330, widths=(4, 5, 6))
-        requests = [(m, None) for m in METHODS] + [("grad_cam", 1), ("grad_cam", 2)]
-        source = MoleculeExplanations(g, p)
-        pairs = [explain_pair(source, m, layer) for m, layer in requests]
-        assert calls == {"backprop": 1, "eb": 4}
         t = forward(g, p)
-        for (method, layer), pair in zip(requests, pairs):
-            expected = explain_pair(MoleculeExplanations(g, p, t), method, layer)
-            for got, want in zip(pair, expected):
-                assert np.array_equal(got.values, want.values)
-                assert got.layer == want.layer and got.normalized == want.normalized
+        all_methods = [(m, None) for m in METHODS] + [("grad_cam", 1), ("grad_cam", 2)]
+        no_excitation = [("gradient", None), ("cam", None), ("grad_cam", 2)]
+        for requests, expected_calls in (
+            (all_methods, {"backprop": 1, "eb": 1}),
+            (no_excitation, {"backprop": 1, "eb": 0}),
+        ):
+            calls.update(backprop=0, eb=0)
+            source = MoleculeExplanations(g, p)
+            pairs = [explain_pair(source, m, layer) for m, layer in requests]
+            assert calls == expected_calls
+            for (method, layer), pair in zip(requests, pairs):
+                expected = explain_pair(MoleculeExplanations(g, p, t), method, layer)
+                for got, want in zip(pair, expected):
+                    assert np.array_equal(got.values, want.values)
+                    assert got.layer == want.layer and got.normalized == want.normalized
 
 
 class TestNormalizePair:

@@ -131,7 +131,7 @@ class TestBackward:
         g = single_node_graph([2.0, 3.0])
         p = manual_params([w], wc)
         t = forward(g, p)
-        assert np.all(t.preactivations[0] > 0.0)
+        assert np.all(t.propagated[0] @ w > 0.0)
         grads = score_gradients(t, g, p, 0)
         assert np.allclose(grads.activations[0][0], w @ wc[:, 0], atol=1e-14)
 
