@@ -7,11 +7,13 @@ configurations produce byte-identical outputs.
 explain, metrics and mine each make one pass over the molecules and build
 one explainers.MoleculeExplanations per molecule. explain writes each
 molecule's records, and with --render its depictions, before it moves to
-the next. Unknown or repeated --methods names, a negative --top-k, a
-checkpoint whose arrays, shapes, class count or featurization width
-disagree or whose config cannot be read and, with --render, a molecule id
-that is not a single file-name component are usage errors (exit 2), raised
-before any artifact is written.
+the next; with --render it first lays out every molecule in one
+render.layout_molecules call, so same-size molecules share a batch.
+Unknown or repeated --methods names, a negative --top-k, a checkpoint
+that is not a JSON object or whose arrays, shapes, class count or
+featurization width disagree or whose config cannot be read and, with
+--render, a molecule id that is not a single file-name component are
+usage errors (exit 2), raised before any artifact is written.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from gcnx.model import (
     save_checkpoint,
     train,
 )
-from gcnx.render import layout_molecule, molecule_dot, molecule_svg
+from gcnx.render import layout_molecules, molecule_dot, molecule_svg
 from gcnx.smiles import featurize
 
 EXIT_OK = 0
@@ -223,14 +225,15 @@ def cmd_explain(args) -> int:
     os.makedirs(render_dir if args.render else args.out_dir, exist_ok=True)
     records_path = os.path.join(args.out_dir, "heatmaps.jsonl")
 
-    n_records = 0
+    if args.render:
+        layouts = layout_molecules([m for _, m, _ in dataset.entries], seed=args.seed)
+
+    n_records = n_render_files = 0
     with open(records_path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps({"header": artifact_header(config)}) + "\n")
-        for mol_id, molecule, _ in dataset.entries:
+        for index, (mol_id, molecule, _) in enumerate(dataset.entries):
             # every pair of the molecule shares this source's gradients and EB passes
             source = MoleculeExplanations(featurize(molecule, scheme), params)
-            if args.render:
-                positions = layout_molecule(molecule, seed=args.seed)
             for method in methods:
                 for layer in layers if method == "grad_cam" else [None]:
                     h_pos, h_neg = explain_pair(source, method, layer)
@@ -243,14 +246,16 @@ def cmd_explain(args) -> int:
                         stem = os.path.join(render_dir, f"{mol_id}-{suffix}")
                         values_by_class = {0: h_neg.values, 1: h_pos.values}
                         svg = molecule_svg(
-                            molecule, values_by_class, positions, title=f"{mol_id} {suffix}"
+                            molecule, values_by_class, layouts[index], title=f"{mol_id} {suffix}"
                         )
                         with open(stem + ".svg", "w", encoding="utf-8") as out:
                             out.write(svg)
                         with open(stem + ".dot", "w", encoding="utf-8") as out:
                             out.write(molecule_dot(molecule, values_by_class))
+                        n_render_files += 2
 
-    print(f"wrote {n_records} heatmap records to {records_path}")
+    rendered = f" and {n_render_files} render files to {render_dir}" if args.render else ""
+    print(f"wrote {n_records} heatmap records to {records_path}{rendered}")
     return EXIT_OK
 
 

@@ -587,9 +587,16 @@ def _read_section(key: str, convert, payload: dict):
 def checkpoint_from_json(text: str) -> tuple[ModelParams, TrainConfig, FeaturizationScheme, int]:
     """Read a format 1 or 2 checkpoint. Every array is checked against its
     shape, and the shapes against each other, layer_sizes and n_classes;
-    any mismatch, and a config or scheme that cannot be read, raises
-    ConfigurationError."""
-    payload = json.loads(text)
+    any mismatch, a config or scheme that cannot be read, and text that is
+    not a JSON object, raises ConfigurationError."""
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as err:
+        raise ConfigurationError(f"checkpoint is not valid JSON: {err}") from err
+    if not isinstance(payload, dict):
+        raise ConfigurationError(
+            f"checkpoint must be a JSON object, got {type(payload).__name__}"
+        )
     version = payload.get("format_version")
     if version not in (1, CHECKPOINT_VERSION):
         raise ConfigurationError(f"unsupported checkpoint format_version {version!r}")
@@ -633,5 +640,15 @@ def save_checkpoint(path, params, cfg, scheme=DEFAULT_SCHEME, seed=None) -> None
 
 
 def load_checkpoint(path) -> tuple[ModelParams, TrainConfig, FeaturizationScheme, int]:
+    """checkpoint_from_json on the file at path. A file that is not UTF-8
+    raises ConfigurationError too, and every ConfigurationError names the
+    file."""
     with open(path, "r", encoding="utf-8") as fh:
-        return checkpoint_from_json(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as err:
+            raise ConfigurationError(f"{path}: checkpoint is not UTF-8 text: {err}") from err
+    try:
+        return checkpoint_from_json(text)
+    except ConfigurationError as err:
+        raise ConfigurationError(f"{path}: {err}") from err

@@ -1,7 +1,10 @@
-"""Deterministic 2-D molecule depictions: force-directed layout, SVG output
-with saliency disks, and a DOT fallback."""
+"""Deterministic 2-D molecule depictions: a seeded force-directed layout,
+run in lockstep over molecules of the same atom count, SVG output with
+saliency disks, and a DOT fallback."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -10,34 +13,84 @@ from gcnx.smiles import AROMATIC, DOUBLE, TRIPLE, Molecule
 CANVAS = 360.0
 MARGIN = 36.0
 
+# Largest B * n * n of one lockstep batch, so each (B, n, n) work array
+# stays within 512 KiB however many molecules share an atom count.
+BATCH_ELEMENTS = 1 << 16
 
-def layout_molecule(molecule: Molecule, seed: int = 0, iterations: int = 200) -> np.ndarray:
-    """Seeded spring embedding; positions scaled into the drawing canvas."""
-    n = molecule.n_atoms
+
+def _spring_embed(adjacency: np.ndarray, seed: int, iterations: int) -> np.ndarray:
+    """Seeded spring embedding of B same-size graphs in lockstep; returns the
+    raw positions as a (2, B, n) array of x and y.
+
+    Every graph starts from the same seeded circle, so the batch changes no
+    coordinate. The pair (i, j) is stored at [b, j, i] and each force is a
+    sum over axis 1, an outer axis that numpy adds in index order, which is
+    the order of the per-molecule (n, n, 2).sum(axis=1); a sum over the
+    contiguous axis is pairwise and moves the last bits. x and y are kept
+    as separate arrays, so that each force component is one such sum. The
+    adjacency must be symmetric."""
+    batch, n, _ = adjacency.shape
     rng = np.random.default_rng(seed)
-    if n == 1:
-        return np.array([[CANVAS / 2.0, CANVAS / 2.0]])
     angles = 2.0 * np.pi * np.arange(n) / n
-    pos = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    pos += rng.normal(scale=0.01, size=pos.shape)
-    adjacency = molecule.graph.adjacency
+    noise = rng.normal(scale=0.01, size=(n, 2))
+    x = np.repeat((np.cos(angles) + noise[:, 0])[None, :], batch, axis=0)
+    y = np.repeat((np.sin(angles) + noise[:, 1])[None, :], batch, axis=0)
     k = 1.0 / np.sqrt(n)
     temperature = 0.1
     for _ in range(iterations):
-        delta = pos[:, None, :] - pos[None, :, :]
-        dist = np.sqrt((delta**2).sum(axis=2)) + 1e-9
-        repulsion = (k * k / dist**2)[:, :, None] * delta
-        diag = np.arange(n)
-        repulsion[diag, diag, :] = 0.0
-        attraction = (adjacency * dist / k)[:, :, None] * (-delta / dist[:, :, None])
-        force = repulsion.sum(axis=1) + attraction.sum(axis=1)
-        norm = np.sqrt((force**2).sum(axis=1, keepdims=True)) + 1e-9
-        pos += force / norm * np.minimum(norm, temperature)
+        dx = x[:, None, :] - x[:, :, None]
+        dy = y[:, None, :] - y[:, :, None]
+        dist = np.sqrt(dx**2 + dy**2) + 1e-9
+        # on the diagonal dx = dy = +0.0, so the repulsion there is +0.0
+        repulsion = k * k / dist**2
+        attraction = adjacency * dist / k
+        fx = (repulsion * dx).sum(axis=1) + (attraction * (-dx / dist)).sum(axis=1)
+        fy = (repulsion * dy).sum(axis=1) + (attraction * (-dy / dist)).sum(axis=1)
+        norm = np.sqrt(fx**2 + fy**2) + 1e-9
+        step = np.minimum(norm, temperature)
+        x += fx / norm * step
+        y += fy / norm * step
         temperature *= 0.98
-    span = pos.max(axis=0) - pos.min(axis=0)
-    span[span == 0.0] = 1.0
-    scaled = (pos - pos.min(axis=0)) / span
-    return MARGIN + scaled * (CANVAS - 2.0 * MARGIN)
+    return np.stack([x, y])
+
+
+def layout_molecules(
+    molecules: list[Molecule], seed: int = 0, iterations: int = 200
+) -> list[np.ndarray]:
+    """Seeded spring embedding of each molecule, as (n_atoms, 2) positions
+    scaled into the drawing canvas, in input order.
+
+    Molecules of the same atom count run the layout loop together, in
+    batches of at most BATCH_ELEMENTS // n**2; a molecule's positions depend
+    only on the molecule, the seed and the iteration count, bit for bit, and
+    not on the batch around it. A single atom sits at the centre."""
+    layouts: list[np.ndarray] = [None] * len(molecules)
+    by_size: dict[int, list[int]] = {}
+    for index, molecule in enumerate(molecules):
+        by_size.setdefault(molecule.n_atoms, []).append(index)
+    for n, indices in by_size.items():
+        if n == 1:
+            for index in indices:
+                layouts[index] = np.array([[CANVAS / 2.0, CANVAS / 2.0]])
+            continue
+        chunk = max(1, BATCH_ELEMENTS // (n * n))
+        for start in range(0, len(indices), chunk):
+            batch = indices[start : start + chunk]
+            adjacency = np.stack([molecules[i].graph.adjacency for i in batch])
+            pos = _spring_embed(adjacency, seed, iterations)
+            low = pos.min(axis=2, keepdims=True)
+            span = pos.max(axis=2, keepdims=True) - low
+            span[span == 0.0] = 1.0
+            scaled = MARGIN + (pos - low) / span * (CANVAS - 2.0 * MARGIN)
+            for b, index in enumerate(batch):
+                layouts[index] = scaled[:, b, :].T.copy()
+    return layouts
+
+
+def layout_molecule(molecule: Molecule, seed: int = 0, iterations: int = 200) -> np.ndarray:
+    """Seeded spring embedding of one molecule, scaled into the drawing
+    canvas; the same positions layout_molecules gives it in any batch."""
+    return layout_molecules([molecule], seed, iterations)[0]
 
 
 def _escape(text: str) -> str:
@@ -46,24 +99,23 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.2f}"
+# Perpendicular offsets, in pixels, of the strokes that draw each bond order.
+_BOND_OFFSETS = {1: (0.0,), DOUBLE: (-2.2, 2.2), TRIPLE: (-3.0, 0.0, 3.0), AROMATIC: (-2.2, 2.2)}
 
 
-def _bond_lines(p1, p2, order):
-    """Line segments for one bond; multiple orders draw parallel offsets."""
-    direction = p2 - p1
-    length = np.sqrt((direction**2).sum()) + 1e-9
-    normal = np.array([-direction[1], direction[0]]) / length
-    offsets = {1: [0.0], DOUBLE: [-2.2, 2.2], TRIPLE: [-3.0, 0.0, 3.0], AROMATIC: [-2.2, 2.2]}
+def _bond_lines(p1, p2, order) -> list[tuple[float, float, float, float, bool]]:
+    """Line segments (x1, y1, x2, y2, dashed) for one bond; multiple orders
+    draw parallel offsets, and the second stroke of an aromatic bond is
+    dashed."""
+    (x1, y1), (x2, y2) = p1, p2
+    dx, dy = x2 - x1, y2 - y1
+    length = math.sqrt(dx * dx + dy * dy) + 1e-9
+    nx, ny = -dy / length, dx / length
     dashed = order == AROMATIC
-    lines = []
-    for i, off in enumerate(offsets.get(order, [0.0])):
-        a = p1 + normal * off
-        b = p2 + normal * off
-        dash = dashed and i == 1
-        lines.append((a, b, dash))
-    return lines
+    return [
+        (x1 + nx * off, y1 + ny * off, x2 + nx * off, y2 + ny * off, dashed and i == 1)
+        for i, off in enumerate(_BOND_OFFSETS.get(order, (0.0,)))
+    ]
 
 
 def molecule_svg(
@@ -73,12 +125,35 @@ def molecule_svg(
     title: str = "",
 ) -> str:
     """One panel per class, blue disk intensity proportional to saliency.
-    The title is XML-escaped."""
+    The title is XML-escaped. The bonds and each atom's position and label
+    are formatted once and repeated in every panel."""
+    coords = positions.tolist()
+    bonds = []
+    for i, j, order in molecule.bonds:
+        for x1, y1, x2, y2, dash in _bond_lines(coords[i], coords[j], order):
+            dash_attr = ' stroke-dasharray="4,3"' if dash else ""
+            bonds.append(
+                f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" '
+                f'y2="{y2:.2f}" stroke="#444" stroke-width="1.5"{dash_attr}/>'
+            )
+    # each atom's disk and label, split around the disk's fill opacity
+    atoms = []
+    for idx, el in enumerate(molecule.elements):
+        x, y = coords[idx]
+        symbol = el.symbol if el.symbol != "other" else "*"
+        atoms.append(
+            (
+                f'<circle cx="{x:.2f}" cy="{y:.2f}" r="13" fill="#1f77d0" fill-opacity="',
+                f'" stroke="#888" stroke-width="0.7"/>\n'
+                f'<text x="{x:.2f}" y="{y + 4:.2f}" font-size="11" '
+                f'font-family="monospace" text-anchor="middle">{symbol}</text>',
+            )
+        )
     panels = sorted(values_by_class)
     width = CANVAS * len(panels)
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(width)}" '
-        f'height="{_fmt(CANVAS + 20)}" viewBox="0 0 {_fmt(width)} {_fmt(CANVAS + 20)}">'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.2f}" '
+        f'height="{CANVAS + 20:.2f}" viewBox="0 0 {width:.2f} {CANVAS + 20:.2f}">'
     ]
     if title:
         parts.append(
@@ -87,30 +162,15 @@ def molecule_svg(
     for panel_index, class_id in enumerate(panels):
         values = np.asarray(values_by_class[class_id], dtype=float)
         peak = values.max() if values.size and values.max() > 0.0 else 1.0
+        opacities = (values / peak).tolist() if values.size else [0.0] * len(atoms)
         shift = panel_index * CANVAS
-        parts.append(f'<g transform="translate({_fmt(shift)},20)">')
+        parts.append(f'<g transform="translate({shift:.2f},20)">')
         parts.append(
             f'<text x="6" y="14" font-size="11" font-family="monospace">class {class_id}</text>'
         )
-        for i, j, order in molecule.bonds:
-            for a, b, dash in _bond_lines(positions[i], positions[j], order):
-                dash_attr = ' stroke-dasharray="4,3"' if dash else ""
-                parts.append(
-                    f'<line x1="{_fmt(a[0])}" y1="{_fmt(a[1])}" x2="{_fmt(b[0])}" '
-                    f'y2="{_fmt(b[1])}" stroke="#444" stroke-width="1.5"{dash_attr}/>'
-                )
-        for idx, el in enumerate(molecule.elements):
-            x, y = positions[idx]
-            opacity = float(values[idx] / peak) if values.size else 0.0
-            parts.append(
-                f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="13" fill="#1f77d0" '
-                f'fill-opacity="{opacity:.3f}" stroke="#888" stroke-width="0.7"/>'
-            )
-            symbol = el.symbol if el.symbol != "other" else "*"
-            parts.append(
-                f'<text x="{_fmt(x)}" y="{_fmt(y + 4)}" font-size="11" '
-                f'font-family="monospace" text-anchor="middle">{symbol}</text>'
-            )
+        parts.extend(bonds)
+        for idx, (disk, label) in enumerate(atoms):
+            parts.append(f"{disk}{opacities[idx]:.3f}{label}")
         parts.append("</g>")
     parts.append("</svg>")
     return "\n".join(parts)

@@ -135,6 +135,30 @@ class TestExplain:
         sample = (out / "render" / svgs[0]).read_text()
         assert "<svg" in sample and "circle" in sample
 
+    def test_render_file_count_reported(self, trained, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(
+            [
+                "explain",
+                "--data", "synth:NO:5",
+                "--checkpoint", str(trained / "checkpoint.json"),
+                "--methods", "gradient,grad_cam,ceb",
+                "--layers", "1,2",
+                "--seed", "3",
+                "--out-dir", str(out),
+                "--render",
+            ]
+        )
+        assert code == 0
+        # 5 molecules x (gradient, grad_cam-l1, grad_cam-l2, ceb) x (svg, dot)
+        n_files = 2 * 5 * 4
+        assert len(os.listdir(out / "render")) == n_files
+        # the whole line, so that no timing can slip into it
+        assert capsys.readouterr().out.strip().splitlines()[-1] == (
+            f"wrote 40 heatmap records to {out / 'heatmaps.jsonl'} "
+            f"and {n_files} render files to {out / 'render'}"
+        )
+
 
     @pytest.mark.parametrize("mol_id", ["sub/x", "a\\b", "../x", ".", "..", "x\0y"])
     def test_unsafe_render_id_rejected_before_writing(self, trained, tmp_path, capsys, mol_id):
@@ -279,6 +303,34 @@ class TestExplain:
         )
         assert code == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b"not json", "not valid JSON"),
+            (b"[1]", "must be a JSON object"),
+            (b"", "not valid JSON"),
+            (b"\xff\xfe{}", "not UTF-8"),
+        ],
+    )
+    def test_malformed_checkpoint_json_exit_2_names_file(
+        self, tmp_path, capsys, content, message
+    ):
+        checkpoint = tmp_path / "broken-checkpoint.json"
+        checkpoint.write_bytes(content)
+        out = tmp_path / "out"
+        code = main(
+            [
+                "explain",
+                "--data", "synth:NO:4",
+                "--checkpoint", str(checkpoint),
+                "--out-dir", str(out),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert message in err and str(checkpoint) in err
         assert not out.exists()
 
 
