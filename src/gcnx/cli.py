@@ -5,15 +5,16 @@ configuration, and the seed; payloads carry no timestamps, so identical
 configurations produce byte-identical outputs.
 
 explain, metrics and mine each make one pass over the molecules and build
-one explainers.MoleculeExplanations per molecule. explain writes each
-molecule's records, and with --render its depictions, before it moves to
-the next; with --render it first lays out every molecule in one
-render.layout_molecules call, so same-size molecules share a batch.
-Unknown or repeated --methods names, a negative --top-k, a checkpoint
-that is not a JSON object or whose arrays, shapes, class count or
-featurization width disagree or whose config cannot be read and, with
---render, a molecule id that is not a single file-name component are
-usage errors (exit 2), raised before any artifact is written.
+one explainers.MoleculeExplanations per molecule on the node features that
+parsing built. explain writes each molecule's records, and with --render
+its depictions, before it moves to the next; with --render it first lays
+out every molecule in one render.layout_molecules call. Epochs or widths
+below 1, unknown or repeated --methods names, repeated --layers values, a
+negative --top-k, a checkpoint that is not a JSON object, whose arrays,
+shapes or class count disagree, whose featurization is not the fixed one
+or whose config cannot be read and, with --render, a molecule id that is
+not a single file-name component are usage errors (exit 2), raised before
+any artifact is written.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import sys
 import numpy as np
 
 import gcnx
-from gcnx.datasets import DataError, LabeledSet, SplitSpec, load_csv, split, synth_motif_set
+from gcnx.datasets import DataError, LabeledSet, load_csv, split, synth_motif_set
 from gcnx.explainers import METHODS, MoleculeExplanations, explain_pair
 from gcnx.metrics import metric_suite
 from gcnx.mining import mine
@@ -43,7 +44,7 @@ from gcnx.model import (
     train,
 )
 from gcnx.render import layout_molecules, molecule_dot, molecule_svg
-from gcnx.smiles import featurize
+from gcnx.smiles import D_IN
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -108,10 +109,6 @@ def write_json(path: str, payload: dict) -> None:
 
 def cmd_train(args) -> int:
     config = effective_config(args, "train")
-    dataset = load_data(args)
-    train_set, val_set, test_set = split(
-        dataset, SplitSpec(seed=args.seed, stratified=True)
-    )
     cfg = TrainConfig(
         epochs=args.epochs,
         learning_rate=args.lr,
@@ -119,6 +116,8 @@ def cmd_train(args) -> int:
         seed=args.seed,
         class_weighting=not args.no_class_weighting,
     )
+    dataset = load_data(args)
+    train_set, val_set, test_set = split(dataset, args.seed)
     result = train(
         train_set.graph_pairs(),
         cfg,
@@ -164,16 +163,17 @@ def cmd_train(args) -> int:
 # -------------------------------------------------------------- explain
 
 
-def _parse_layers(raw: str | None, n_layers: int) -> list[int]:
+def _parse_layers(raw: str | None) -> list[int] | None:
+    """--layers of explain as distinct integers, or None when not given."""
     if not raw:
-        return [n_layers]
+        return None
     try:
         layers = [int(x) for x in raw.split(",") if x.strip()]
     except ValueError:
         raise ConfigurationError(f"--layers must be comma-separated integers, got {raw!r}")
-    for layer in layers:
-        if not 1 <= layer <= n_layers:
-            raise ConfigurationError(f"layer {layer} outside 1..{n_layers}")
+    repeated = sorted({layer for layer in layers if layers.count(layer) > 1})
+    if repeated:
+        raise ConfigurationError(f"layer(s) {', '.join(map(str, repeated))} given more than once")
     return layers
 
 
@@ -192,14 +192,14 @@ def _parse_methods(raw: str) -> list[str]:
 
 
 def _load_model(path: str):
-    """The checkpoint's parameters and featurization scheme, checked to fit
-    each other, so a mismatch exits 2 before any artifact is written."""
-    params, _, scheme, _ = load_checkpoint(path)
-    if params.input_dim != scheme.d_in:
+    """The checkpoint's parameters, checked to take the fixed featurization's
+    rows, so a mismatch exits 2 before any artifact is written."""
+    params, _, _ = load_checkpoint(path)
+    if params.input_dim != D_IN:
         raise ConfigurationError(
-            f"checkpoint input width {params.input_dim} != its featurization width {scheme.d_in}"
+            f"checkpoint input width {params.input_dim} != the featurization width {D_IN}"
         )
-    return params, scheme
+    return params
 
 
 def _check_render_id(mol_id: str) -> None:
@@ -215,9 +215,13 @@ def _check_render_id(mol_id: str) -> None:
 def cmd_explain(args) -> int:
     config = effective_config(args, "explain")
     methods = _parse_methods(args.methods)
-    params, scheme = _load_model(args.checkpoint)
+    layers = _parse_layers(args.layers_list)
+    params = _load_model(args.checkpoint)
+    layers = [params.n_layers] if layers is None else layers
+    for layer in layers:
+        if not 1 <= layer <= params.n_layers:
+            raise ConfigurationError(f"layer {layer} outside 1..{params.n_layers}")
     dataset = load_data(args)
-    layers = _parse_layers(args.layers_list, params.n_layers)
     if args.render:
         for mol_id, _, _ in dataset.entries:
             _check_render_id(mol_id)
@@ -233,7 +237,7 @@ def cmd_explain(args) -> int:
         fh.write(json.dumps({"header": artifact_header(config)}) + "\n")
         for index, (mol_id, molecule, _) in enumerate(dataset.entries):
             # every pair of the molecule shares this source's gradients and EB passes
-            source = MoleculeExplanations(featurize(molecule, scheme), params)
+            source = MoleculeExplanations(molecule.graph, params)
             for method in methods:
                 for layer in layers if method == "grad_cam" else [None]:
                     h_pos, h_neg = explain_pair(source, method, layer)
@@ -265,9 +269,9 @@ def cmd_explain(args) -> int:
 def cmd_metrics(args) -> int:
     config = effective_config(args, "metrics")
     methods = _parse_methods(args.methods)
-    params, scheme = _load_model(args.checkpoint)
+    params = _load_model(args.checkpoint)
     dataset = load_data(args)
-    data = [(featurize(molecule, scheme), label) for _, molecule, label in dataset.entries]
+    data = dataset.graph_pairs()
     reports = metric_suite(params, data, methods, threshold=args.fidelity_threshold)
 
     os.makedirs(args.out_dir, exist_ok=True)
@@ -304,16 +308,15 @@ def cmd_mine(args) -> int:
     config = effective_config(args, "mine")
     if args.top_k < 0:
         raise ConfigurationError(f"--top-k must be nonnegative, got {args.top_k}")
-    params, scheme = _load_model(args.checkpoint)
+    params = _load_model(args.checkpoint)
     dataset = load_data(args)
 
     predictions = {}
     heatmaps = {}
     for mol_id, molecule, _ in dataset.entries:
-        graph = featurize(molecule, scheme)
-        trace = forward(graph, params)
+        trace = forward(molecule.graph, params)
         predicted = int(np.argmax(trace.probabilities))
-        h_pos, h_neg = explain_pair(MoleculeExplanations(graph, params, trace), "grad_cam")
+        h_pos, h_neg = explain_pair(MoleculeExplanations(molecule.graph, params, trace), "grad_cam")
         predictions[mol_id] = predicted
         heatmaps[mol_id] = (h_pos if predicted == 1 else h_neg).values
 

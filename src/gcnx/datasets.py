@@ -68,7 +68,8 @@ def load_csv(
     if not os.path.exists(path):
         raise DataError(f"dataset file not found: {path}")
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
+        # a short row reads its missing cells as blank
+        reader = csv.DictReader(fh, restval="")
         if reader.fieldnames is None:
             raise DataError(f"empty dataset file: {path}")
         for column in filter(None, (smiles_column, label_column, id_column)):
@@ -198,21 +199,14 @@ def synth_motif_set(n: int, motif: str, seed: int = 0) -> LabeledSet:
 # -------------------------------------------------------------------- splits
 
 
-@dataclass
-class SplitSpec:
-    ratios: tuple[float, float, float] = (0.8, 0.1, 0.1)
-    seed: int = 0
-    stratified: bool = False
-
-    def __post_init__(self):
-        if abs(sum(self.ratios) - 1.0) > 1e-9:
-            raise DataError(f"split ratios must sum to 1, got {self.ratios}")
+# train, validation and test shares of each class
+SPLIT_RATIOS = (0.8, 0.1, 0.1)
 
 
-def _cut(indices, ratios):
+def _cut(indices):
     n = len(indices)
-    n_train = int(n * ratios[0])
-    n_val = int(n * ratios[1])
+    n_train = int(n * SPLIT_RATIOS[0])
+    n_val = int(n * SPLIT_RATIOS[1])
     return (
         indices[:n_train],
         indices[n_train : n_train + n_val],
@@ -220,31 +214,25 @@ def _cut(indices, ratios):
     )
 
 
-def split(dataset: LabeledSet, spec: SplitSpec) -> tuple[LabeledSet, LabeledSet, LabeledSet]:
-    """Seeded-shuffle partition into train/validation/test. The stratified
-    option shuffles within each class so ratios hold per class."""
+def split(dataset: LabeledSet, seed: int) -> tuple[LabeledSet, LabeledSet, LabeledSet]:
+    """Seeded stratified partition into train/validation/test: each class is
+    shuffled on its own and cut by SPLIT_RATIOS, so the ratios hold per
+    class."""
     if len(dataset) < 10:
         raise DataError(f"dataset too small to split: {len(dataset)} entries")
-    rng = np.random.default_rng(spec.seed)
-    if spec.stratified:
-        parts = ([], [], [])
-        for label in (0, 1):
-            class_indices = [
-                i for i, (_, _, y) in enumerate(dataset.entries) if y == label
-            ]
-            shuffled = [class_indices[j] for j in rng.permutation(len(class_indices))]
-            for bucket, chunk in zip(parts, _cut(shuffled, spec.ratios)):
-                bucket.extend(chunk)
-        buckets = tuple(sorted(part) for part in parts)
-    else:
-        shuffled = rng.permutation(len(dataset)).tolist()
-        buckets = tuple(sorted(chunk) for chunk in _cut(shuffled, spec.ratios))
+    rng = np.random.default_rng(seed)
+    parts = ([], [], [])
+    for label in (0, 1):
+        class_indices = [i for i, (_, _, y) in enumerate(dataset.entries) if y == label]
+        shuffled = [class_indices[j] for j in rng.permutation(len(class_indices))]
+        for bucket, chunk in zip(parts, _cut(shuffled)):
+            bucket.extend(chunk)
     names = ("train", "validation", "test")
     return tuple(
         LabeledSet(
-            entries=[dataset.entries[i] for i in bucket],
+            entries=[dataset.entries[i] for i in sorted(part)],
             provenance=f"{dataset.provenance}#{name}",
             skipped=0,
         )
-        for name, bucket in zip(names, buckets)
+        for name, part in zip(names, parts)
     )

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from gcnx.graphs import AttributedGraph
-from gcnx.smiles import DEFAULT_SCHEME, FeaturizationScheme
+from gcnx.smiles import FEATURIZATION
 
 
 class ConfigurationError(ValueError):
@@ -43,6 +43,10 @@ class TrainConfig:
     class_weighting: bool = True
 
     def __post_init__(self):
+        if self.epochs < 1:
+            raise ConfigurationError(f"epochs must be positive, got {self.epochs}")
+        if any(width < 1 for width in self.layer_sizes):
+            raise ConfigurationError(f"layer widths must be positive, got {list(self.layer_sizes)}")
         if self.learning_rate <= 0:
             raise ConfigurationError("learning rate must be positive")
         for beta in (self.adam_beta1, self.adam_beta2):
@@ -552,15 +556,10 @@ def _decode_weights(stored, shape, version: int, name: str) -> np.ndarray:
     return flat.reshape(shape)
 
 
-def checkpoint_to_json(
-    params: ModelParams,
-    cfg: TrainConfig,
-    scheme: FeaturizationScheme = DEFAULT_SCHEME,
-    seed: int | None = None,
-) -> str:
+def checkpoint_to_json(params: ModelParams, cfg: TrainConfig, seed: int | None = None) -> str:
     payload = {
         "format_version": CHECKPOINT_VERSION,
-        "featurization": scheme.to_dict(),
+        "featurization": FEATURIZATION,
         "layer_sizes": list(params.layer_sizes),
         "n_classes": params.n_classes,
         "layer_weights": [_encode_weights(w) for w in params.layer_weights],
@@ -584,11 +583,12 @@ def _read_section(key: str, convert, payload: dict):
         raise ConfigurationError(f"checkpoint {key} cannot be read: {err}") from err
 
 
-def checkpoint_from_json(text: str) -> tuple[ModelParams, TrainConfig, FeaturizationScheme, int]:
+def checkpoint_from_json(text: str) -> tuple[ModelParams, TrainConfig, int]:
     """Read a format 1 or 2 checkpoint. Every array is checked against its
     shape, and the shapes against each other, layer_sizes and n_classes;
-    any mismatch, a config or scheme that cannot be read, and text that is
-    not a JSON object, raises ConfigurationError."""
+    any mismatch, a config that cannot be read, a featurization other than
+    smiles.FEATURIZATION, and text that is not a JSON object, raises
+    ConfigurationError."""
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as err:
@@ -627,19 +627,23 @@ def checkpoint_from_json(text: str) -> tuple[ModelParams, TrainConfig, Featuriza
                 f"classifier shape {list(classifier.shape)}"
             )
         cfg = _read_section("train_config", TrainConfig.from_dict, payload)
-        scheme = _read_section("featurization", FeaturizationScheme.from_dict, payload)
+        if payload["featurization"] != FEATURIZATION:
+            raise ConfigurationError(
+                f"checkpoint featurization {payload['featurization']!r} is not "
+                f"the fixed featurization {FEATURIZATION!r}"
+            )
         seed = _read_section("seed", int, payload)
     except KeyError as err:
         raise ConfigurationError(f"checkpoint lacks the key {err}") from err
-    return params, cfg, scheme, seed
+    return params, cfg, seed
 
 
-def save_checkpoint(path, params, cfg, scheme=DEFAULT_SCHEME, seed=None) -> None:
+def save_checkpoint(path, params, cfg, seed=None) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(checkpoint_to_json(params, cfg, scheme, seed))
+        fh.write(checkpoint_to_json(params, cfg, seed))
 
 
-def load_checkpoint(path) -> tuple[ModelParams, TrainConfig, FeaturizationScheme, int]:
+def load_checkpoint(path) -> tuple[ModelParams, TrainConfig, int]:
     """checkpoint_from_json on the file at path. A file that is not UTF-8
     raises ConfigurationError too, and every ConfigurationError names the
     file."""

@@ -1,9 +1,13 @@
-"""Restricted SMILES parsing, node featurization, and linear-notation output.
+"""Restricted SMILES parsing, the fixed node featurization, and SMILES output.
 
 The grammar covers what the molecular pipeline needs: organic-subset atoms,
 bracket atoms with charges, single/double/triple/aromatic bonds, branches,
 and ring closures. Stereochemistry, isotopes, wildcards, and explicit
 hydrogens are rejected; hydrogens are implicit and never become nodes.
+
+Parsing builds each molecule's node-feature rows once, with featurize and
+the fixed layout below; checkpoints record that layout as FEATURIZATION,
+and no other layout exists.
 """
 
 from __future__ import annotations
@@ -32,40 +36,21 @@ class SmilesParseError(ValueError):
         self.offset = offset
 
 
-@dataclass(frozen=True)
-class FeaturizationScheme:
-    """Layout of one node-feature row: element one-hot, degree one-hot
-    (capped), charge one-hot (clamped), aromatic flag."""
+# One node-feature row, D_IN wide: element one-hot over ELEMENT_VOCAB, degree
+# one-hot capped at MAX_DEGREE, formal-charge one-hot clamped to
+# CHARGE_MIN..CHARGE_MAX, aromatic flag.
+MAX_DEGREE = 5
+CHARGE_MIN, CHARGE_MAX = -2, 2
+_CHARGE_AT = len(ELEMENT_VOCAB) + MAX_DEGREE + 1
+D_IN = _CHARGE_AT + (CHARGE_MAX - CHARGE_MIN + 1) + 1
 
-    element_vocab: tuple[str, ...] = ELEMENT_VOCAB
-    max_degree: int = 5
-    charge_min: int = -2
-    charge_max: int = 2
-
-    @property
-    def d_in(self) -> int:
-        n_charges = self.charge_max - self.charge_min + 1
-        return len(self.element_vocab) + (self.max_degree + 1) + n_charges + 1
-
-    def to_dict(self) -> dict:
-        return {
-            "element_vocab": list(self.element_vocab),
-            "max_degree": self.max_degree,
-            "charge_min": self.charge_min,
-            "charge_max": self.charge_max,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FeaturizationScheme":
-        return cls(
-            element_vocab=tuple(d["element_vocab"]),
-            max_degree=int(d["max_degree"]),
-            charge_min=int(d["charge_min"]),
-            charge_max=int(d["charge_max"]),
-        )
-
-
-DEFAULT_SCHEME = FeaturizationScheme()
+# the layout as checkpoints record it; a checkpoint with any other is refused
+FEATURIZATION = {
+    "element_vocab": list(ELEMENT_VOCAB),
+    "max_degree": MAX_DEGREE,
+    "charge_min": CHARGE_MIN,
+    "charge_max": CHARGE_MAX,
+}
 
 
 @dataclass(frozen=True)
@@ -136,7 +121,7 @@ def _parse_bracket_atom(s: str, start: int) -> tuple[ElementLabel, int]:
     return ElementLabel(symbol, charge, aromatic), i + 1
 
 
-def parse_smiles(s: str, scheme: FeaturizationScheme = DEFAULT_SCHEME) -> Molecule:
+def parse_smiles(s: str) -> Molecule:
     """Parse a restricted SMILES string into a Molecule.
 
     Raises SmilesParseError with the byte offset of the first problem.
@@ -257,22 +242,20 @@ def parse_smiles(s: str, scheme: FeaturizationScheme = DEFAULT_SCHEME) -> Molecu
         raise SmilesParseError("no atoms in SMILES string", 0)
 
     bond_list = tuple(sorted((i, j, order) for (i, j), order in bonds.items()))
-    return _assemble(elements, bond_list, s, scheme)
+    return _assemble(elements, bond_list, s)
 
 
 def _assemble(
     elements: list[ElementLabel],
     bond_list: tuple[tuple[int, int, int], ...],
     source: str,
-    scheme: FeaturizationScheme,
 ) -> Molecule:
     n = len(elements)
     adjacency = np.zeros((n, n))
     for i, j, _ in bond_list:
         adjacency[i, j] = adjacency[j, i] = 1.0
-    features = feature_rows(elements, adjacency, scheme)
     graph = AttributedGraph(
-        node_features=features,
+        node_features=featurize(elements, adjacency),
         adjacency=adjacency,
         node_elements=tuple(elements),
     )
@@ -280,43 +263,25 @@ def _assemble(
 
 
 def molecule_from_parts(
-    elements: list[ElementLabel],
-    bonds: list[tuple[int, int, int]],
-    source: str = "",
-    scheme: FeaturizationScheme = DEFAULT_SCHEME,
+    elements: list[ElementLabel], bonds: list[tuple[int, int, int]], source: str = ""
 ) -> Molecule:
     """Build a Molecule directly from labels and bonds (generator entry point)."""
     bond_list = tuple(sorted((min(i, j), max(i, j), order) for i, j, order in bonds))
-    return _assemble(list(elements), bond_list, source, scheme)
+    return _assemble(list(elements), bond_list, source)
 
 
-def feature_rows(
-    elements: list[ElementLabel] | tuple[ElementLabel, ...],
-    adjacency: np.ndarray,
-    scheme: FeaturizationScheme = DEFAULT_SCHEME,
-) -> np.ndarray:
-    """One-hot featurization: element block, degree block, charge block,
-    aromatic flag. Exactly one bit per one-hot block."""
-    n = len(elements)
+def featurize(elements: list[ElementLabel], adjacency: np.ndarray) -> np.ndarray:
+    """The N x D_IN node-feature rows of a molecule: exactly one bit in each
+    one-hot block (element, degree, charge), then the aromatic flag."""
     degrees = adjacency.sum(axis=1).astype(int)
-    rows = np.zeros((n, scheme.d_in))
-    n_elem = len(scheme.element_vocab)
-    n_deg = scheme.max_degree + 1
-    n_charge = scheme.charge_max - scheme.charge_min + 1
+    rows = np.zeros((len(elements), D_IN))
     for idx, el in enumerate(elements):
-        symbol = el.symbol if el.symbol in scheme.element_vocab else "other"
-        rows[idx, scheme.element_vocab.index(symbol)] = 1.0
-        rows[idx, n_elem + min(degrees[idx], scheme.max_degree)] = 1.0
-        charge = min(max(el.formal_charge, scheme.charge_min), scheme.charge_max)
-        rows[idx, n_elem + n_deg + (charge - scheme.charge_min)] = 1.0
-        rows[idx, n_elem + n_deg + n_charge] = 1.0 if el.aromatic else 0.0
+        rows[idx, ELEMENT_VOCAB.index(el.symbol)] = 1.0
+        rows[idx, len(ELEMENT_VOCAB) + min(degrees[idx], MAX_DEGREE)] = 1.0
+        charge = min(max(el.formal_charge, CHARGE_MIN), CHARGE_MAX)
+        rows[idx, _CHARGE_AT + charge - CHARGE_MIN] = 1.0
+        rows[idx, -1] = 1.0 if el.aromatic else 0.0
     return rows
-
-
-def featurize(molecule: Molecule, scheme: FeaturizationScheme) -> AttributedGraph:
-    """Re-featurize a parsed molecule under a different scheme."""
-    features = feature_rows(molecule.elements, molecule.graph.adjacency, scheme)
-    return molecule.graph.with_features(features)
 
 
 # ------------------------------------------------------------------ writing

@@ -376,7 +376,7 @@ def test_end_to_end_motif_recovery(synth_run):
 @criterion(7, "metric directionality on the synthetic run")
 def test_metric_directionality(synth_run):
     out_dir, _ = synth_run
-    params, _, _, _ = checkpoint_from_json(
+    params, _, _ = checkpoint_from_json(
         (out_dir / "checkpoint.json").read_text()
     )
     dataset = synth_motif_set(400, "NO", seed=7)

@@ -69,6 +69,21 @@ class TestTrain:
         assert code == 2
         assert "absent.csv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "option, message",
+        [
+            (["--layers", "16,0"], "layer widths must be positive"),
+            (["--layers", "16,-3"], "layer widths must be positive"),
+            (["--epochs", "-2"], "epochs must be positive"),
+        ],
+    )
+    def test_unusable_config_exit_2_before_writing(self, tmp_path, capsys, option, message):
+        out = tmp_path / "out"
+        code = main(["train", "--data", "synth:NO:20", *option, "--out-dir", str(out)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestExplain:
     def test_record_count_one_molecule(self, trained, tmp_path):
@@ -232,7 +247,16 @@ class TestExplain:
         assert "bogus" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_repeated_method_exit_2_before_checkpoint_read(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "options, repeated",
+        [
+            (["--methods", "cam,gradient, cam"], "cam"),
+            (["--methods", "grad_cam", "--layers", "3,3"], "layer(s) 3"),
+        ],
+    )
+    def test_repeated_method_exit_2_before_checkpoint_read(
+        self, tmp_path, capsys, options, repeated
+    ):
         # the checkpoint does not exist: the usage error must come first
         out = tmp_path / "out"
         code = main(
@@ -240,13 +264,13 @@ class TestExplain:
                 "explain",
                 "--data", "synth:NO:4",
                 "--checkpoint", str(tmp_path / "absent.json"),
-                "--methods", "cam,gradient, cam",
+                *options,
                 "--out-dir", str(out),
             ]
         )
         assert code == 2
         err = capsys.readouterr().err
-        assert "cam" in err and "more than once" in err
+        assert repeated in err and "more than once" in err
         assert "absent.json" not in err
         assert not out.exists()
 
@@ -279,9 +303,11 @@ class TestExplain:
             (lambda d: d.update(layer_shapes=[[23, 8], [16, 8]], layer_sizes=[8, 8]), "chain"),
             (lambda d: d.update(layer_sizes=[8, 32]), "layer_sizes"),
             (lambda d: d.update(n_classes=3), "n_classes"),
-            (lambda d: d["featurization"].update(max_degree=4), "featurization width"),
+            (lambda d: d["featurization"].update(max_degree=4), "not the fixed featurization"),
             (lambda d: d["train_config"].update(momentum=0.5), "unknown keys ['momentum']"),
-            (lambda d: d["featurization"].update(max_degree="x"), "featurization cannot be read"),
+            (lambda d: d["featurization"].update(max_degree="x"), "not the fixed featurization"),
+            # same width, elements in another order
+            (lambda d: d["featurization"]["element_vocab"].reverse(), "not the fixed featurization"),
         ],
     )
     def test_inconsistent_checkpoint_exit_2_before_writing(

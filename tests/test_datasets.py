@@ -1,6 +1,6 @@
 import pytest
 
-from gcnx.datasets import DataError, LabeledSet, SplitSpec, load_csv, split, synth_motif_set
+from gcnx.datasets import DataError, LabeledSet, load_csv, split, synth_motif_set
 from gcnx.mining import (
     canonical_key,
     molecule_contains,
@@ -24,6 +24,15 @@ class TestLoadCsv:
         assert len(ds) == 2
         assert ds.skipped == 1
         assert ds.class_counts == (1, 1)
+
+    def test_short_row_skipped_and_counted(self, tmp_path):
+        # the short row has no label cell: it is skipped like a blank label
+        path = write_csv(
+            tmp_path, "d.csv", ["a,CCO,1", "b,CC", "c,CC,0"], header="id,smiles,label"
+        )
+        ds = load_csv(path, "smiles", "label", id_column="id")
+        assert [mol_id for mol_id, _, _ in ds.entries] == ["a", "c"]
+        assert ds.skipped == 1
 
     def test_duplicate_ids_rejected(self, tmp_path):
         path = write_csv(tmp_path, "d.csv", ["a,CCO,1", "a,CC,0", "b,CC,1"])
@@ -139,20 +148,20 @@ def tiny_set(n=20):
 class TestSplit:
     def test_sizes_80_10_10(self):
         ds = tiny_set(100)
-        train, val, test = split(ds, SplitSpec(seed=0))
+        train, val, test = split(ds, 0)
         assert (len(train), len(val), len(test)) == (80, 10, 10)
 
     def test_partition_exact(self):
         ds = tiny_set(37)
-        train, val, test = split(ds, SplitSpec(seed=3))
+        train, val, test = split(ds, 3)
         ids = [mol_id for part in (train, val, test) for mol_id, _, _ in part.entries]
         assert sorted(ids) == sorted(mol_id for mol_id, _, _ in ds.entries)
         assert len(set(ids)) == len(ids)
 
     def test_same_seed_identical(self):
         ds = tiny_set(50)
-        a = split(ds, SplitSpec(seed=9))
-        b = split(ds, SplitSpec(seed=9))
+        a = split(ds, 9)
+        b = split(ds, 9)
         for pa, pb in zip(a, b):
             assert [e[0] for e in pa.entries] == [e[0] for e in pb.entries]
 
@@ -161,15 +170,11 @@ class TestSplit:
             (f"m{i}", parse_smiles("CC"), 1 if i < 90 else 0) for i in range(100)
         ]
         ds = LabeledSet(entries=entries, provenance="fixture", skipped=0)
-        train, val, test = split(ds, SplitSpec(seed=2, stratified=True))
+        train, val, test = split(ds, 2)
         for part, expected_pos in ((train, 72), (val, 9), (test, 9)):
             n_pos = sum(1 for _, _, y in part.entries if y == 1)
             assert abs(n_pos - expected_pos) <= 1
 
     def test_too_small_rejected(self):
         with pytest.raises(DataError):
-            split(tiny_set(9), SplitSpec())
-
-    def test_bad_ratios_rejected(self):
-        with pytest.raises(DataError):
-            SplitSpec(ratios=(0.5, 0.1, 0.1))
+            split(tiny_set(9), 0)

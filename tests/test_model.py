@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import drop_last_value, manual_params, random_instance, single_node_graph
-from gcnx.datasets import SplitSpec, split, synth_motif_set
+from gcnx.datasets import split, synth_motif_set
 from gcnx.graphs import AttributedGraph, ElementLabel
 from gcnx.model import (
     AdamOptimizer,
@@ -346,9 +346,7 @@ class TestTraining:
     def test_bit_identical_to_per_tensor_loop(self, with_validation):
         # at seed 3 validation accuracy peaks at epoch 2 of 4, so returning
         # the live vector instead of the epoch-2 copy changes the weights
-        train_set, val_set, _ = split(
-            synth_motif_set(40, "NO", seed=3), SplitSpec(seed=3, stratified=True)
-        )
+        train_set, val_set, _ = split(synth_motif_set(40, "NO", seed=3), 3)
         cfg = TrainConfig(epochs=4, layer_sizes=(16, 32, 64), seed=3, learning_rate=0.01)
         validation = val_set.graph_pairs() if with_validation else None
         result = train(train_set.graph_pairs(), cfg, validation=validation)
@@ -461,33 +459,33 @@ class TestCheckpoint:
         p = init_params(6, (4, 5), seed=13)
         cfg = TrainConfig(epochs=3, layer_sizes=(4, 5), seed=13)
         text = checkpoint_to_json(p, cfg)
-        params2, cfg2, scheme2, seed2 = checkpoint_from_json(text)
-        assert checkpoint_to_json(params2, cfg2, scheme2, seed2) == text
+        params2, cfg2, seed2 = checkpoint_from_json(text)
+        assert checkpoint_to_json(params2, cfg2, seed2) == text
 
     def test_loaded_params_equal(self):
         p = init_params(6, (4, 5), seed=13)
         cfg = TrainConfig(epochs=3, layer_sizes=(4, 5), seed=13)
-        params2, _, _, _ = checkpoint_from_json(checkpoint_to_json(p, cfg))
+        params2, _, _ = checkpoint_from_json(checkpoint_to_json(p, cfg))
         for w1, w2 in zip(p.layer_weights, params2.layer_weights):
             assert np.array_equal(w1, w2)
         assert np.array_equal(p.classifier_weights, params2.classifier_weights)
 
     def test_legacy_batch_size_checkpoint_loads_bit_identical(self):
-        params, cfg, scheme, seed = checkpoint_from_json(LEGACY_CHECKPOINT)
+        params, cfg, seed = checkpoint_from_json(LEGACY_CHECKPOINT)
         expected = init_params(3, (2,), seed=13)
         for w1, w2 in zip(expected.layer_weights, params.layer_weights):
             assert w1.tobytes() == w2.tobytes()
         assert expected.classifier_weights.tobytes() == params.classifier_weights.tobytes()
         legacy = json.loads(LEGACY_CHECKPOINT)
         del legacy["train_config"]["batch_size"]
-        written = json.loads(checkpoint_to_json(params, cfg, scheme, seed))
+        written = json.loads(checkpoint_to_json(params, cfg, seed))
         assert "batch_size" not in written["train_config"]
         # format 2 changes the version and the weight encoding, nothing else
         weight_fields = {"format_version", "layer_weights", "classifier_weights"}
         assert {k: v for k, v in written.items() if k not in weight_fields} == {
             k: v for k, v in legacy.items() if k not in weight_fields
         }
-        reloaded, _, _, _ = checkpoint_from_json(json.dumps(written))
+        reloaded, _, _ = checkpoint_from_json(json.dumps(written))
         for w, flat, shape in zip(
             reloaded.layer_weights, legacy["layer_weights"], legacy["layer_shapes"]
         ):
@@ -522,9 +520,9 @@ class TestCheckpoint:
         p = manual_params([w], np.array([[1.0, np.nan], [-np.inf, 0.0], [2.0, -0.0]]))
         cfg = TrainConfig(epochs=1, layer_sizes=(3,))
         text = checkpoint_to_json(p, cfg)
-        params2, cfg2, scheme2, seed2 = checkpoint_from_json(text)
+        params2, cfg2, seed2 = checkpoint_from_json(text)
         assert params2.flat.tobytes() == p.flat.tobytes()
-        assert checkpoint_to_json(params2, cfg2, scheme2, seed2) == text
+        assert checkpoint_to_json(params2, cfg2, seed2) == text
 
     def test_weights_stored_as_little_endian_float64(self):
         p = init_params(3, (2,), seed=13)

@@ -5,15 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gcnx.graphs import ELEMENT_VOCAB
 from gcnx.smiles import (
     AROMATIC,
-    DEFAULT_SCHEME,
+    D_IN,
     DOUBLE,
     SINGLE,
     TRIPLE,
-    FeaturizationScheme,
     SmilesParseError,
-    featurize,
     parse_smiles,
     write_smiles,
 )
@@ -130,12 +129,12 @@ class TestParseErrors:
 
 class TestFeaturization:
     def test_scheme_dimensions(self):
-        assert DEFAULT_SCHEME.d_in == 11 + 6 + 5 + 1
+        assert D_IN == 11 + 6 + 5 + 1
 
     def test_single_carbon_row(self):
         m = parse_smiles("C")
         row = m.graph.node_features[0]
-        vocab = DEFAULT_SCHEME.element_vocab
+        vocab = ELEMENT_VOCAB
         assert row[vocab.index("C")] == 1.0
         assert row[len(vocab) + 0] == 1.0  # degree 0
         assert row[len(vocab) + 6 + 2] == 1.0  # charge 0
@@ -143,31 +142,26 @@ class TestFeaturization:
 
     def test_middle_atom_degree(self):
         m = parse_smiles("CCO")
-        vocab_len = len(DEFAULT_SCHEME.element_vocab)
+        vocab_len = len(ELEMENT_VOCAB)
         assert m.graph.node_features[1][vocab_len + 2] == 1.0
 
     def test_negative_charge_slot(self):
         m = parse_smiles("[O-]")
-        vocab_len = len(DEFAULT_SCHEME.element_vocab)
+        vocab_len = len(ELEMENT_VOCAB)
         assert m.graph.node_features[0][vocab_len + 6 + 1] == 1.0  # charge -1
 
     def test_one_hot_blocks(self):
         m = parse_smiles("Cc1cc[nH]c1[O-]")
-        vocab_len = len(DEFAULT_SCHEME.element_vocab)
+        vocab_len = len(ELEMENT_VOCAB)
         x = m.graph.node_features
         assert np.all(x[:, :vocab_len].sum(axis=1) == 1.0)
         assert np.all(x[:, vocab_len : vocab_len + 6].sum(axis=1) == 1.0)
         assert np.all(x[:, vocab_len + 6 : vocab_len + 11].sum(axis=1) == 1.0)
         assert np.all((x[:, -1] == 0.0) | (x[:, -1] == 1.0))
 
-    def test_custom_scheme(self):
-        scheme = FeaturizationScheme(element_vocab=("C", "O", "other"), max_degree=3)
-        g = featurize(parse_smiles("CCO"), scheme)
-        assert g.feature_dim == scheme.d_in == 3 + 4 + 5 + 1
-
     def test_charge_clamped(self):
-        g = featurize(parse_smiles("[N+3]"), DEFAULT_SCHEME)
-        vocab_len = len(DEFAULT_SCHEME.element_vocab)
+        g = parse_smiles("[N+3]").graph
+        vocab_len = len(ELEMENT_VOCAB)
         assert g.node_features[0][vocab_len + 6 + 4] == 1.0  # clamped to +2
 
 
