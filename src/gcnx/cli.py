@@ -9,12 +9,12 @@ one explainers.MoleculeExplanations per molecule on the node features that
 parsing built. explain writes each molecule's records, and with --render
 its depictions, before it moves to the next; with --render it first lays
 out every molecule in one render.layout_molecules call. Epochs or widths
-below 1, unknown or repeated --methods names, repeated --layers values, a
-negative --top-k, a checkpoint that is not a JSON object, whose arrays,
-shapes or class count disagree, whose featurization is not the fixed one
-or whose config cannot be read and, with --render, a molecule id that is
-not a single file-name component are usage errors (exit 2), raised before
-any artifact is written.
+below 1, unknown or repeated --methods names, a --layers value with no
+integer or with a repeated one, a negative --top-k, a checkpoint that is
+not a JSON object, whose arrays, shapes or class count disagree, whose
+featurization is not the fixed one or whose config cannot be read and,
+with --render, a molecule id that is not a single file-name component are
+usage errors (exit 2), raised before any artifact is written.
 """
 
 from __future__ import annotations
@@ -163,14 +163,28 @@ def cmd_train(args) -> int:
 # -------------------------------------------------------------- explain
 
 
+def _comma_integers(raw: str) -> list[int]:
+    """The integers of a --layers value such as 16,32,64; blank items are
+    ignored, and a value that holds no integer is a usage error."""
+    try:
+        values = [int(x) for x in raw.split(",") if x.strip()]
+    except ValueError:
+        values = []
+    if not values:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers such as 16,32,64, got {raw!r}"
+        )
+    return values
+
+
 def _parse_layers(raw: str | None) -> list[int] | None:
     """--layers of explain as distinct integers, or None when not given."""
     if not raw:
         return None
     try:
-        layers = [int(x) for x in raw.split(",") if x.strip()]
-    except ValueError:
-        raise ConfigurationError(f"--layers must be comma-separated integers, got {raw!r}")
+        layers = _comma_integers(raw)
+    except argparse.ArgumentTypeError as err:
+        raise ConfigurationError(f"--layers: {err}")
     repeated = sorted({layer for layer in layers if layers.count(layer) > 1})
     if repeated:
         raise ConfigurationError(f"layer(s) {', '.join(map(str, repeated))} given more than once")
@@ -402,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--lr", type=float, default=0.001)
     p_train.add_argument(
         "--layers",
-        type=lambda s: [int(x) for x in s.split(",")],
+        type=_comma_integers,
         default=[128, 256, 512],
         help="comma-separated convolution widths",
     )

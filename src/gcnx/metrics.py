@@ -52,7 +52,7 @@ def sparsity(m0, m1, n_nodes: int) -> float:
 
 @dataclass
 class _Outcome:
-    """One (method, layer) request on one molecule."""
+    """One method's outcome on one molecule."""
 
     label: int
     masks: tuple[np.ndarray, np.ndarray]  # positive-class, negative-class
@@ -60,16 +60,16 @@ class _Outcome:
     predicted_after: int  # after occluding the predicted class's mask
 
 
-def _explain_molecule(graph, label, params, requests, threshold) -> list[_Outcome]:
-    """Masks and occlusion outcome of every (method, layer) request on one
-    molecule: one forward, one shared explanation source, and one occlusion
-    forward per distinct nonempty predicted-class mask."""
+def _explain_molecule(graph, label, params, methods, threshold) -> list[_Outcome]:
+    """Masks and occlusion outcome of every method on one molecule: one
+    forward, one shared explanation source, and one occlusion forward per
+    distinct nonempty predicted-class mask."""
     source = MoleculeExplanations(graph, params)
     predicted = int(np.argmax(source.trace.probabilities))
     after_by_mask = {}
     outcomes = []
-    for method, layer in requests:
-        h_pos, h_neg = explain_pair(source, method, layer)
+    for method in methods:
+        h_pos, h_neg = explain_pair(source, method)
         masks = (binarize(h_pos, threshold), binarize(h_neg, threshold))
         mask = masks[0] if predicted == 1 else masks[1]
         key = mask.tobytes()
@@ -83,11 +83,11 @@ def _explain_molecule(graph, label, params, requests, threshold) -> list[_Outcom
     return outcomes
 
 
-def _outcomes(params, dataset, requests, threshold) -> list[tuple[_Outcome, ...]]:
-    """The one loop over molecules; element r holds request r's outcomes in
+def _outcomes(params, dataset, methods, threshold) -> list[tuple[_Outcome, ...]]:
+    """The one loop over molecules; element m holds method m's outcomes in
     dataset order."""
     rows = [
-        _explain_molecule(graph, label, params, requests, threshold)
+        _explain_molecule(graph, label, params, methods, threshold)
         for graph, label in dataset
     ]
     return list(zip(*rows))
@@ -113,13 +113,12 @@ def fidelity(
     dataset,
     method: str,
     threshold: float = DEFAULT_THRESHOLD,
-    layer: int | None = None,
 ) -> float:
     """Accuracy drop from occluding nodes salient for the predicted class,
     macro-averaged over the true classes present in the dataset."""
     if not dataset:
         raise ValueError("empty dataset")
-    return _fidelity(_outcomes(params, dataset, [(method, layer)], threshold)[0])
+    return _fidelity(_outcomes(params, dataset, [method], threshold)[0])
 
 
 @dataclass
@@ -159,7 +158,7 @@ def metric_suite(
     if not dataset:
         raise ValueError("empty dataset")
     reports = []
-    per_method = _outcomes(params, dataset, [(m, None) for m in methods], threshold)
+    per_method = _outcomes(params, dataset, methods, threshold)
     for method, outcomes in zip(methods, per_method):
         contrastivities = []
         sparsities = []

@@ -2,8 +2,9 @@
 candidate functional groups.
 
 Activated vertices (normalized saliency above a threshold) induce subgraphs
-whose connected components are canonicalized into exact substructure keys.
-Each candidate is then counted per molecule: how often it occurs inside an
+whose connected components are canonicalized into exact substructure keys;
+a candidate is its key and its Fragment in canonical numbering. Each
+candidate is then counted per molecule: how often it occurs inside an
 explained region, and how often it occurs anywhere in the positive and
 negative data. Node labels (element, charge, aromaticity) and bond orders
 both participate in substructure equality.
@@ -11,8 +12,8 @@ both participate in substructure equality.
 Canonicalization is an individualization-refinement search that skips
 subtrees which known automorphisms map onto searched ones. Containment is
 a backtracking search on lookup tables that each fragment builds once.
-mine loops over distinct molecules and decides each one once against every
-candidate.
+mine gathers the distinct molecules and activated regions into one tally
+and decides each of them once against every candidate.
 """
 
 from __future__ import annotations
@@ -52,13 +53,6 @@ class Fragment:
     @property
     def n_nodes(self) -> int:
         return len(self.node_labels)
-
-    def adjacency_lists(self) -> list[list[tuple[int, int]]]:
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n_nodes)]
-        for i, j, order in self.edges:
-            adj[i].append((j, order))
-            adj[j].append((i, order))
-        return adj
 
     @cached_property
     def _tallies(self) -> tuple[Counter, Counter]:
@@ -231,7 +225,7 @@ def canonical_form(fragment: Fragment) -> tuple:
         raise FragmentTooLargeError(
             f"fragment has {fragment.n_nodes} nodes (cap {MAX_SUBGRAPH_NODES})"
         )
-    adj = fragment.adjacency_lists()
+    adj = fragment._tables.adj
     colors = _refine(fragment.node_labels, adj, [0] * fragment.n_nodes)
     state = _SearchState()
     _search(fragment, adj, colors, [], state)
@@ -248,54 +242,16 @@ def canonical_key(fragment: Fragment) -> bytes:
     return _serialize(*canonical_form(fragment))
 
 
-@dataclass(frozen=True)
-class CanonicalSubgraph:
-    """A substructure identity: canonical key plus its canonical structure."""
-
-    key: bytes
-    node_labels: tuple[LabelKey, ...]
-    edges: tuple[tuple[int, int, int], ...]
-    rendering: str
-
-    @property
-    def node_count(self) -> int:
-        return len(self.node_labels)
-
-    @property
-    def element_multiset(self) -> tuple[str, ...]:
-        return tuple(sorted(sym for sym, _, _ in self.node_labels))
-
-    def fragment(self) -> Fragment:
-        return Fragment(node_labels=self.node_labels, edges=self.edges)
-
-
-def canonicalize(fragment: Fragment) -> CanonicalSubgraph:
-    labels, edges = canonical_form(fragment)
-    elements = [
-        ElementLabel(symbol=sym, formal_charge=charge, aromatic=bool(arom))
-        for sym, charge, arom in labels
-    ]
-    return CanonicalSubgraph(
-        key=_serialize(labels, edges),
-        node_labels=labels,
-        edges=edges,
-        rendering=write_smiles(elements, edges),
-    )
-
-
 # --------------------------------------------------------- activated regions
-
-
-def activated_vertices(values, tau: float = 0.0) -> list[bool]:
-    return [bool(v > tau) for v in np.asarray(values, dtype=float)]
 
 
 def activated_subgraphs(
     molecule: Molecule, values, tau: float = 0.0
-) -> list[CanonicalSubgraph]:
-    """Canonical subgraphs of all activated connected components with at
-    least two nodes. Oversized components are skipped with a warning."""
-    mask = activated_vertices(values, tau)
+) -> list[tuple[bytes, Fragment]]:
+    """(canonical key, fragment in canonical numbering) of every activated
+    connected component with at least two nodes. Oversized components are
+    skipped with a warning."""
+    mask = np.asarray(values, dtype=float) > tau
     out = []
     for component in connected_components(molecule.graph, mask):
         if len(component) < 2:
@@ -307,7 +263,8 @@ def activated_subgraphs(
                 MAX_SUBGRAPH_NODES,
             )
             continue
-        out.append(canonicalize(molecule_fragment(molecule, component)))
+        labels, edges = canonical_form(molecule_fragment(molecule, component))
+        out.append((_serialize(labels, edges), Fragment(node_labels=labels, edges=edges)))
     return out
 
 
@@ -462,17 +419,13 @@ def contains_fragment(host: Fragment, pattern: Fragment) -> bool:
     return place(0)
 
 
-def molecule_contains(molecule: Molecule, pattern: CanonicalSubgraph | Fragment) -> bool:
-    if isinstance(pattern, CanonicalSubgraph):
-        pattern = pattern.fragment()
+def molecule_contains(molecule: Molecule, pattern: Fragment) -> bool:
     return contains_fragment(whole_molecule_fragment(molecule), pattern)
 
 
-def count_dataset_occurrences(pattern, dataset_entries) -> tuple[int, int]:
+def count_dataset_occurrences(pattern: Fragment, dataset_entries) -> tuple[int, int]:
     """(N_p, N_n): molecules containing the pattern, counted at most once per
     molecule, split by label. Entries are (id, Molecule, label) triples."""
-    if isinstance(pattern, CanonicalSubgraph):
-        pattern = pattern.fragment()  # once, so its lookup tables serve every molecule
     n_pos = n_neg = 0
     for _, molecule, label in dataset_entries:
         if molecule_contains(molecule, pattern):
@@ -488,7 +441,8 @@ def count_dataset_occurrences(pattern, dataset_entries) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class SubstructureRecord:
-    subgraph: CanonicalSubgraph
+    key: bytes
+    pattern: Fragment  # in canonical numbering
     n_explained: int
     n_pos: int
     n_neg: int
@@ -502,10 +456,11 @@ class SubstructureRecord:
         return self.n_pos / (self.n_pos + self.n_neg)
 
     def to_dict(self) -> dict:
+        elements = [ElementLabel(*label) for label in self.pattern.node_labels]
         return {
-            "substructure": self.subgraph.rendering,
-            "canonical_key": self.subgraph.key.decode("ascii"),
-            "node_count": self.subgraph.node_count,
+            "substructure": write_smiles(elements, self.pattern.edges),
+            "canonical_key": self.key.decode("ascii"),
+            "node_count": self.pattern.n_nodes,
             "n_explained": self.n_explained,
             "n_pos": self.n_pos,
             "n_neg": self.n_neg,
@@ -532,70 +487,52 @@ def mine(
     containing s. Only candidates with n_pos + n_neg > min_occurrence
     survive; ranking is by descending R_e, then R_p, node count, and key.
 
-    The loop is host-major: each distinct molecule fragment is tested
-    against every candidate once, and identical molecules share that
-    verdict. An activated region equal to a molecule (every region at
-    tau < 0) reuses the molecule's verdicts; the remaining distinct regions
-    are tested against the surviving candidates only. One host's lookup
-    tables are alive at a time. If stats is a dict, it receives the counts
-    "candidates", "hosts" (distinct molecules) and "decisions"
-    (containment tests run).
+    Every molecule and every activated region goes into one tally of
+    distinct fragments. A fragment carries [n_neg, n_pos, n_explained]: the
+    negative and positive molecules equal to it, and the qualifying
+    molecules whose region equals it. Each distinct fragment is tested once
+    against every candidate, and one fragment's lookup tables are alive at
+    a time. If stats is a dict, it receives the counts "candidates",
+    "hosts" (distinct molecules) and "decisions" (containment tests run:
+    candidates times distinct fragments).
     """
     if true_positives_only and predictions is None:
         raise ValueError("true_positives_only requires predictions")
 
-    candidates: dict[bytes, CanonicalSubgraph] = {}
-    regions: Counter[Fragment] = Counter()
+    candidates: dict[bytes, Fragment] = {}
+    tally: dict[Fragment, list[int]] = {}  # fragment -> [n_neg, n_pos, n_explained]
     for mol_id, molecule, label in dataset_entries:
+        tally.setdefault(whole_molecule_fragment(molecule), [0, 0, 0])[label == 1] += 1
         if mol_id not in heatmaps:
             continue
         if true_positives_only and not (label == 1 and predictions.get(mol_id) == 1):
             continue
         values = heatmaps[mol_id]
-        mask = activated_vertices(values, tau)
-        regions[molecule_fragment(molecule, [i for i, on in enumerate(mask) if on])] += 1
-        for sub in activated_subgraphs(molecule, values, tau):
-            candidates.setdefault(sub.key, sub)
+        active = np.flatnonzero(np.asarray(values, dtype=float) > tau).tolist()
+        tally.setdefault(molecule_fragment(molecule, active), [0, 0, 0])[2] += 1
+        for key, pattern in activated_subgraphs(molecule, values, tau):
+            candidates.setdefault(key, pattern)
     keys = sorted(candidates)
-    patterns = [candidates[key].fragment() for key in keys]
-
-    hosts: dict[Fragment, list[int]] = {}  # fragment -> [n_neg, n_pos] of its molecules
-    for _, molecule, label in dataset_entries:
-        hosts.setdefault(whole_molecule_fragment(molecule), [0, 0])[label == 1] += 1
-    n_hosts = len(hosts)
-    n_pos = [0] * len(patterns)
-    n_neg = [0] * len(patterns)
-    n_explained = [0] * len(patterns)
-    decisions = 0
-    while hosts:  # popped, so each host's tables die with it
-        host, (neg, pos) = hosts.popitem()
-        as_region = regions.pop(host, 0)
-        for c, pattern in enumerate(patterns):
-            if contains_fragment(host, pattern):
-                n_pos[c] += pos
-                n_neg[c] += neg
-                n_explained[c] += as_region
-        decisions += len(patterns)
-    surviving = [c for c in range(len(patterns)) if n_pos[c] + n_neg[c] > min_occurrence]
-    while regions:
-        region, count = regions.popitem()
-        for c in surviving:
-            if contains_fragment(region, patterns[c]):
-                n_explained[c] += count
-        decisions += len(surviving)
+    patterns = [candidates[key] for key in keys]
     if stats is not None:
-        stats.update(candidates=len(patterns), hosts=n_hosts, decisions=decisions)
-
-    records = [
-        SubstructureRecord(
-            subgraph=candidates[keys[c]],
-            n_explained=n_explained[c],
-            n_pos=n_pos[c],
-            n_neg=n_neg[c],
+        stats.update(
+            candidates=len(patterns),
+            hosts=sum(1 for neg, pos, _ in tally.values() if neg + pos),
+            decisions=len(patterns) * len(tally),
         )
-        for c in surviving
+
+    n_neg, n_pos, n_explained = ([0] * len(patterns) for _ in range(3))
+    while tally:  # popped, so each fragment's tables die with it
+        fragment, (neg, pos, explained) = tally.popitem()
+        for c, pattern in enumerate(patterns):
+            if contains_fragment(fragment, pattern):
+                n_neg[c] += neg
+                n_pos[c] += pos
+                n_explained[c] += explained
+    records = [
+        SubstructureRecord(keys[c], patterns[c], n_explained[c], n_pos[c], n_neg[c])
+        for c in range(len(patterns))
+        if n_pos[c] + n_neg[c] > min_occurrence
     ]
-    records.sort(
-        key=lambda r: (-r.r_e, -r.r_p, -r.subgraph.node_count, r.subgraph.key)
-    )
+    records.sort(key=lambda r: (-r.r_e, -r.r_p, -r.pattern.n_nodes, r.key))
     return records[:top_k]

@@ -242,16 +242,7 @@ def parse_smiles(s: str) -> Molecule:
         raise SmilesParseError("no atoms in SMILES string", 0)
 
     bond_list = tuple(sorted((i, j, order) for (i, j), order in bonds.items()))
-    return _assemble(elements, bond_list, s)
-
-
-def _assemble(
-    elements: list[ElementLabel],
-    bond_list: tuple[tuple[int, int, int], ...],
-    source: str,
-) -> Molecule:
-    n = len(elements)
-    adjacency = np.zeros((n, n))
+    adjacency = np.zeros((len(elements), len(elements)))
     for i, j, _ in bond_list:
         adjacency[i, j] = adjacency[j, i] = 1.0
     graph = AttributedGraph(
@@ -259,15 +250,7 @@ def _assemble(
         adjacency=adjacency,
         node_elements=tuple(elements),
     )
-    return Molecule(graph=graph, bonds=bond_list, source_string=source)
-
-
-def molecule_from_parts(
-    elements: list[ElementLabel], bonds: list[tuple[int, int, int]], source: str = ""
-) -> Molecule:
-    """Build a Molecule directly from labels and bonds (generator entry point)."""
-    bond_list = tuple(sorted((min(i, j), max(i, j), order) for i, j, order in bonds))
-    return _assemble(list(elements), bond_list, source)
+    return Molecule(graph=graph, bonds=bond_list, source_string=s)
 
 
 def featurize(elements: list[ElementLabel], adjacency: np.ndarray) -> np.ndarray:

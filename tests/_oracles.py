@@ -172,7 +172,10 @@ def _reference_search(fragment, adj, colors, best: list):
 
 def reference_canonical_form(fragment) -> tuple:
     """Smallest (labels, edges) certificate over every leaf of the search."""
-    adj = fragment.adjacency_lists()
+    adj = [[] for _ in range(fragment.n_nodes)]
+    for i, j, order in fragment.edges:
+        adj[i].append((j, order))
+        adj[j].append((i, order))
     colors = _reference_refine(fragment.node_labels, adj, [0] * fragment.n_nodes)
     best: list = [None]
     _reference_search(fragment, adj, colors, best)
@@ -195,7 +198,6 @@ def reference_mine(
     from gcnx.mining import (
         SubstructureRecord,
         activated_subgraphs,
-        activated_vertices,
         contains_fragment,
         molecule_contains,
         molecule_fragment,
@@ -210,28 +212,25 @@ def reference_mine(
     candidates = {}
     regions = []
     for mol_id, molecule in qualifying:
-        mask = activated_vertices(heatmaps[mol_id], tau)
-        regions.append(molecule_fragment(molecule, [i for i, on in enumerate(mask) if on]))
-        for sub in activated_subgraphs(molecule, heatmaps[mol_id], tau):
-            candidates.setdefault(sub.key, sub)
+        values = heatmaps[mol_id]
+        regions.append(molecule_fragment(molecule, [i for i, v in enumerate(values) if v > tau]))
+        for key, pattern in activated_subgraphs(molecule, values, tau):
+            candidates.setdefault(key, pattern)
     records = []
     for key in sorted(candidates):
-        sub = candidates[key]
+        pattern = candidates[key]
         n_pos = n_neg = 0
         for _, molecule, label in dataset_entries:
-            if molecule_contains(molecule, sub):
+            if molecule_contains(molecule, pattern):
                 if label == 1:
                     n_pos += 1
                 else:
                     n_neg += 1
         if n_pos + n_neg <= min_occurrence:
             continue
-        pattern = sub.fragment()
         n_explained = sum(1 for region in regions if contains_fragment(region, pattern))
-        records.append(
-            SubstructureRecord(subgraph=sub, n_explained=n_explained, n_pos=n_pos, n_neg=n_neg)
-        )
-    records.sort(key=lambda r: (-r.r_e, -r.r_p, -r.subgraph.node_count, r.subgraph.key))
+        records.append(SubstructureRecord(key, pattern, n_explained, n_pos, n_neg))
+    records.sort(key=lambda r: (-r.r_e, -r.r_p, -r.pattern.n_nodes, r.key))
     return records[:top_k]
 
 

@@ -34,7 +34,7 @@ from gcnx.model import (
     loss_gradients,
     score_gradients,
 )
-from gcnx.smiles import molecule_from_parts, parse_smiles
+from gcnx.smiles import parse_smiles, write_smiles
 
 from _oracles import (
     brute_force_contains,
@@ -226,7 +226,7 @@ def _random_small_molecule(rng):
         a, b = sorted(int(x) for x in rng.choice(n, size=2, replace=False))
         if not any(x == a and y == b for x, y, _ in bonds):
             bonds.append((a, b, 1))
-    return molecule_from_parts(elements, bonds)
+    return parse_smiles(write_smiles(elements, bonds))
 
 
 def _connected_subset(molecule, rng, size):

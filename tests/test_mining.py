@@ -9,8 +9,8 @@ from gcnx.mining import (
     FragmentTooLargeError,
     activated_subgraphs,
     canonical_form,
+    SubstructureRecord,
     canonical_key,
-    canonicalize,
     contains_fragment,
     count_dataset_occurrences,
     mine,
@@ -194,10 +194,9 @@ class TestCanonicalKey:
         assert key1 == canonical_key(whole_molecule_fragment(ring2))
 
     def test_rendering_reparses_to_same_key(self):
-        fragment = molecule_fragment(parse_smiles("CC(=O)O"), [1, 2, 3])
-        sub = canonicalize(fragment)
-        reparsed = parse_smiles(sub.rendering)
-        assert canonical_key(whole_molecule_fragment(reparsed)) == sub.key
+        [(key, pattern)] = activated_subgraphs(parse_smiles("CC(=O)O"), np.array([0, 1, 1, 1]))
+        rendering = SubstructureRecord(key, pattern, 0, 1, 0).to_dict()["substructure"]
+        assert canonical_key(whole_molecule_fragment(parse_smiles(rendering))) == key
 
 
 @st.composite
@@ -278,13 +277,14 @@ class TestPrunedSearch:
     def test_random_symmetric_fragments_match_exhaustive_search(self, fragment):
         assert canonical_form(fragment) == reference_canonical_form(fragment)
 
-    def test_canonicalize_searches_once(self, monkeypatch):
+    def test_activated_subgraphs_search_once(self, monkeypatch):
         calls = counted_certificates(monkeypatch)
-        fragment = whole_molecule_fragment(parse_smiles("CC(C)(C)C(C)(C)C"))
-        key = canonical_key(fragment)
+        molecule = parse_smiles("CC(C)(C)C(C)(C)C")
+        key = canonical_key(whole_molecule_fragment(molecule))
         leaves = len(calls)
         calls.clear()
-        assert canonicalize(fragment).key == key
+        [(got, _)] = activated_subgraphs(molecule, np.ones(molecule.n_atoms))
+        assert got == key
         assert len(calls) == leaves
 
 
@@ -389,7 +389,10 @@ def host_pattern_pairs(draw):
     if draw(st.booleans()):
         return host, draw(branched_fragments(1, 5))
     # a connected piece of the host, relabeled, so that hits are common
-    adj = host.adjacency_lists()
+    adj = [
+        [(b if a == i else a, order) for a, b, order in host.edges if i in (a, b)]
+        for i in range(host.n_nodes)
+    ]
     chosen = [draw(st.integers(0, host.n_nodes - 1))]
     tree = set()
     for _ in range(draw(st.integers(0, 4))):
@@ -428,7 +431,7 @@ class TestActivatedSubgraphs:
         m = parse_smiles("CCO")
         subs = activated_subgraphs(m, np.array([0.2, 0.5, 0.3]))
         assert len(subs) == 1
-        assert subs[0].key == canonical_key(whole_molecule_fragment(m))
+        assert subs[0][0] == canonical_key(whole_molecule_fragment(m))
 
     def test_alternating_ring_activation_empty(self):
         m = parse_smiles("C1CCCCC1")
@@ -440,7 +443,7 @@ class TestActivatedSubgraphs:
         values = np.array([0.4, 0.4, 0.0, 0.4, 0.4])
         subs = activated_subgraphs(m, values)
         assert len(subs) == 2
-        assert subs[0].key == subs[1].key  # both are C-C
+        assert subs[0][0] == subs[1][0]  # both are C-C
 
 
 def planted_entries():
@@ -487,25 +490,39 @@ class TestMineAgainstReference:
                 top_k=1000,
                 true_positives_only=true_positives_only,
             )
-            got = [r.to_dict() for r in mine(entries, heatmaps, **kwargs)]
+            stats = {}
+            got = [r.to_dict() for r in mine(entries, heatmaps, stats=stats, **kwargs)]
             assert got == [r.to_dict() for r in reference_mine(entries, heatmaps, **kwargs)]
-            assert got
+            # some candidates pass min_occurrence and some fail it
+            assert 0 < len(got) < stats["candidates"]
 
-    def test_each_distinct_host_decided_once(self, monkeypatch):
+    @pytest.mark.parametrize("tau", [-1.0, 0.1])
+    def test_each_distinct_host_decided_once(self, monkeypatch, tau):
         entries = corpus_with_duplicates()
-        heatmaps = {mol_id: np.ones(mol.n_atoms) for mol_id, mol, _ in entries}
+        rng = np.random.default_rng(4)
+        heatmaps = {mol_id: rng.random(mol.n_atoms) for mol_id, mol, _ in entries}
         calls = []
         real = mining.contains_fragment
         monkeypatch.setattr(
-            mining, "contains_fragment", lambda host, pattern: calls.append(host) or real(host, pattern)
+            mining,
+            "contains_fragment",
+            lambda host, pattern: calls.append((host, pattern)) or real(host, pattern),
         )
         stats = {}
-        mine(entries, heatmaps, tau=-1, min_occurrence=2, true_positives_only=False, stats=stats)
+        mine(entries, heatmaps, tau=tau, min_occurrence=2, true_positives_only=False, stats=stats)
         hosts = {whole_molecule_fragment(mol) for _, mol, _ in entries}
+        regions = {
+            molecule_fragment(mol, np.flatnonzero(heatmaps[mol_id] > tau).tolist())
+            for mol_id, mol, _ in entries
+        }
         assert stats["hosts"] == len(hosts) < len(entries)
-        # at tau -1 every region is its molecule, so regions add no decisions
-        assert stats["decisions"] == len(calls) == stats["candidates"] * len(hosts)
-        assert set(calls) == hosts
+        # at tau -1 every region is its molecule; at 0.1 some regions are not
+        assert (regions <= hosts) == (tau < 0)
+        fragments = hosts | regions
+        # every (fragment, candidate) pair is decided exactly once
+        assert len(set(calls)) == len(calls)
+        assert stats["decisions"] == len(calls) == stats["candidates"] * len(fragments)
+        assert {host for host, _ in calls} == fragments
 
 
 class TestMine:
@@ -524,7 +541,7 @@ class TestMine:
         )
         assert records, "expected at least one mined substructure"
         top = records[0]
-        assert top.subgraph.element_multiset == ("N", "O")
+        assert sorted(sym for sym, _, _ in top.pattern.node_labels) == ["N", "O"]
         assert top.r_p == 1.0
         assert top.r_e == 1.0
 
