@@ -7,14 +7,17 @@ configurations produce byte-identical outputs.
 explain, metrics and mine each make one pass over the molecules and build
 one explainers.MoleculeExplanations per molecule on the node features that
 parsing built. explain writes each molecule's records, and with --render
-its depictions, before it moves to the next; with --render it first lays
-out every molecule in one render.layout_molecules call. Epochs or widths
-below 1, unknown or repeated --methods names, a --layers value with no
-integer or with a repeated one, a negative --top-k, a checkpoint that is
-not a JSON object, whose arrays, shapes or class count disagree, whose
-featurization is not the fixed one or whose config cannot be read and,
-with --render, a molecule id that is not a single file-name component are
-usage errors (exit 2), raised before any artifact is written.
+its depictions, before it moves to the next. With --render it first lays
+out every molecule in one render.layout_molecules call, and then writes two
+files per molecule: render/<molecule_id>.svg, one sheet with a row per
+requested (method, layer) and a column per class, and render/<molecule_id>.dot,
+a cluster per (method, layer). Epochs or widths below 1, unknown or
+repeated --methods names, a --layers value with no integer or with a
+repeated one, a negative --top-k, a checkpoint that is not a JSON object,
+whose arrays, shapes or class count disagree, whose featurization is not
+the fixed one or whose config cannot be read and, with --render, a molecule
+id that is empty or not a single file-name component are usage errors
+(exit 2), raised before any artifact is written.
 """
 
 from __future__ import annotations
@@ -219,10 +222,10 @@ def _load_model(path: str):
 def _check_render_id(mol_id: str) -> None:
     """--render names files after molecule ids, so each id must be a single
     file-name component."""
-    if mol_id in (".", "..") or any(c in mol_id for c in "/\\\0"):
+    if mol_id in ("", ".", "..") or any(c in mol_id for c in "/\\\0"):
         raise DataError(
             f"molecule id {mol_id!r} cannot name a render file: it must not "
-            "contain '/', '\\' or NUL, nor be '.' or '..'"
+            "contain '/', '\\' or NUL, nor be empty, '.' or '..'"
         )
 
 
@@ -252,6 +255,7 @@ def cmd_explain(args) -> int:
         for index, (mol_id, molecule, _) in enumerate(dataset.entries):
             # every pair of the molecule shares this source's gradients and EB passes
             source = MoleculeExplanations(molecule.graph, params)
+            panels = []
             for method in methods:
                 for layer in layers if method == "grad_cam" else [None]:
                     h_pos, h_neg = explain_pair(source, method, layer)
@@ -260,17 +264,15 @@ def cmd_explain(args) -> int:
                         fh.write(json.dumps(record) + "\n")
                     n_records += 2
                     if args.render:
-                        suffix = method + (f"-l{layer}" if layer is not None else "")
-                        stem = os.path.join(render_dir, f"{mol_id}-{suffix}")
-                        values_by_class = {0: h_neg.values, 1: h_pos.values}
-                        svg = molecule_svg(
-                            molecule, values_by_class, layouts[index], title=f"{mol_id} {suffix}"
-                        )
-                        with open(stem + ".svg", "w", encoding="utf-8") as out:
-                            out.write(svg)
-                        with open(stem + ".dot", "w", encoding="utf-8") as out:
-                            out.write(molecule_dot(molecule, values_by_class))
-                        n_render_files += 2
+                        label = method + (f"-l{layer}" if layer is not None else "")
+                        panels.append((label, {0: h_neg.values, 1: h_pos.values}))
+            if args.render:
+                stem = os.path.join(render_dir, mol_id)
+                with open(stem + ".svg", "w", encoding="utf-8") as out:
+                    out.write(molecule_svg(molecule, panels, layouts[index], title=mol_id))
+                with open(stem + ".dot", "w", encoding="utf-8") as out:
+                    out.write(molecule_dot(molecule, panels))
+                n_render_files += 2
 
     rendered = f" and {n_render_files} render files to {render_dir}" if args.render else ""
     print(f"wrote {n_records} heatmap records to {records_path}{rendered}")
@@ -433,7 +435,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="comma-separated grad_cam layers (default: final layer)",
     )
-    p_explain.add_argument("--render", action="store_true", help="emit SVG + DOT depictions")
+    p_explain.add_argument(
+        "--render",
+        action="store_true",
+        help="write render/<molecule_id>.svg, one panel per method, layer and class, "
+        "and a .dot with one cluster per method and layer",
+    )
     p_explain.set_defaults(func=cmd_explain)
 
     p_metrics = sub.add_parser("metrics", help="fidelity/contrastivity/sparsity table")

@@ -1,6 +1,7 @@
 """Deterministic 2-D molecule depictions: a seeded force-directed layout,
-run in lockstep over molecules of the same atom count, SVG output with
-saliency disks, and a DOT fallback."""
+run in lockstep over molecules of the same atom count, and for each
+molecule one SVG sheet of saliency panels, a row per panel and a column per
+class, with a DOT fallback of one cluster per panel."""
 
 from __future__ import annotations
 
@@ -120,13 +121,16 @@ def _bond_lines(p1, p2, order) -> list[tuple[float, float, float, float, bool]]:
 
 def molecule_svg(
     molecule: Molecule,
-    values_by_class: dict[int, np.ndarray],
+    panels: list[tuple[str, dict[int, np.ndarray]]],
     positions: np.ndarray,
     title: str = "",
 ) -> str:
-    """One panel per class, blue disk intensity proportional to saliency.
-    The title is XML-escaped. The bonds and each atom's position and label
-    are formatted once and repeated in every panel."""
+    """One sheet of saliency panels: a row per (label, values_by_class) of
+    panels, in order, and a column per class; blue disk intensity is
+    proportional to saliency. Each panel is labelled '<label> class <c>',
+    and a panel that lacks a class leaves that cell empty. The title and the
+    labels are XML-escaped. The bonds and each atom's position and label are
+    formatted once and repeated in every panel."""
     coords = positions.tolist()
     bonds = []
     for i, j, order in molecule.bonds:
@@ -149,49 +153,61 @@ def molecule_svg(
                 f'font-family="monospace" text-anchor="middle">{symbol}</text>',
             )
         )
-    panels = sorted(values_by_class)
-    width = CANVAS * len(panels)
+    bond_block = "\n".join(bonds)
+    columns = {c: k for k, c in enumerate(sorted({c for _, by_class in panels for c in by_class}))}
+    width = CANVAS * len(columns)
+    height = CANVAS * len(panels) + 20
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.2f}" '
-        f'height="{CANVAS + 20:.2f}" viewBox="0 0 {width:.2f} {CANVAS + 20:.2f}">'
+        f'height="{height:.2f}" viewBox="0 0 {width:.2f} {height:.2f}">'
     ]
     if title:
         parts.append(
             f'<text x="6" y="14" font-size="12" font-family="monospace">{_escape(title)}</text>'
         )
-    for panel_index, class_id in enumerate(panels):
-        values = np.asarray(values_by_class[class_id], dtype=float)
-        peak = values.max() if values.size and values.max() > 0.0 else 1.0
-        opacities = (values / peak).tolist() if values.size else [0.0] * len(atoms)
-        shift = panel_index * CANVAS
-        parts.append(f'<g transform="translate({shift:.2f},20)">')
-        parts.append(
-            f'<text x="6" y="14" font-size="11" font-family="monospace">class {class_id}</text>'
-        )
-        parts.extend(bonds)
-        for idx, (disk, label) in enumerate(atoms):
-            parts.append(f"{disk}{opacities[idx]:.3f}{label}")
-        parts.append("</g>")
+    for row, (label, values_by_class) in enumerate(panels):
+        caption = _escape(label)
+        top = row * CANVAS + 20
+        for class_id in sorted(values_by_class):
+            values = np.asarray(values_by_class[class_id], dtype=float)
+            peak = values.max() if values.size and values.max() > 0.0 else 1.0
+            opacities = (values / peak).tolist() if values.size else [0.0] * len(atoms)
+            parts.append(f'<g transform="translate({columns[class_id] * CANVAS:.2f},{top:.2f})">')
+            parts.append(
+                f'<text x="6" y="14" font-size="11" font-family="monospace">'
+                f"{caption} class {class_id}</text>"
+            )
+            if bond_block:
+                parts.append(bond_block)
+            for (disk, text), opacity in zip(atoms, opacities, strict=True):
+                parts.append(f"{disk}{opacity:.3f}{text}")
+            parts.append("</g>")
     parts.append("</svg>")
     return "\n".join(parts)
 
 
-def molecule_dot(molecule: Molecule, values_by_class: dict[int, np.ndarray]) -> str:
-    """Graphviz fallback: fill intensity from the positive-class values."""
-    values = np.asarray(
-        values_by_class.get(1, np.zeros(molecule.n_atoms)), dtype=float
-    )
-    peak = values.max() if values.size and values.max() > 0.0 else 1.0
+def molecule_dot(molecule: Molecule, panels: list[tuple[str, dict[int, np.ndarray]]]) -> str:
+    """Graphviz fallback: one cluster per (label, values_by_class) of panels,
+    in order, labelled with the label, which holds no double quote, and
+    filled by the positive-class values. Node ids carry the cluster index,
+    so each is unique in the file; the atom labels and bond edges are
+    formatted once for all clusters."""
+    symbols = [el.symbol if el.symbol != "other" else "*" for el in molecule.elements]
+    order_labels = {DOUBLE: " [label=2]", TRIPLE: " [label=3]", AROMATIC: " [label=ar]"}
+    edges = [(i, j, order_labels.get(order, "")) for i, j, order in molecule.bonds]
     lines = ["graph molecule {", "  node [style=filled fontname=monospace];"]
-    for idx, el in enumerate(molecule.elements):
-        intensity = int(255 * (1.0 - 0.8 * values[idx] / peak))
-        color = f"#{intensity:02x}{intensity:02x}ff"
-        symbol = el.symbol if el.symbol != "other" else "*"
-        lines.append(f'  n{idx} [label="{symbol}" fillcolor="{color}"];')
-    for i, j, order in molecule.bonds:
-        label = {DOUBLE: " [label=2]", TRIPLE: " [label=3]", AROMATIC: ' [label=ar]'}.get(
-            order, ""
-        )
-        lines.append(f"  n{i} -- n{j}{label};")
+    for k, (label, values_by_class) in enumerate(panels):
+        values = np.asarray(values_by_class.get(1, np.zeros(molecule.n_atoms)), dtype=float)
+        peak = values.max() if values.size and values.max() > 0.0 else 1.0
+        intensities = (255 * (1.0 - 0.8 * values / peak)).astype(int).tolist()
+        lines.append(f"  subgraph cluster_{k} {{")
+        lines.append(f'    label="{label}";')
+        for idx, (symbol, intensity) in enumerate(zip(symbols, intensities, strict=True)):
+            lines.append(
+                f'    c{k}n{idx} [label="{symbol}" fillcolor="#{intensity:02x}{intensity:02x}ff"];'
+            )
+        for i, j, order_label in edges:
+            lines.append(f"    c{k}n{i} -- c{k}n{j}{order_label};")
+        lines.append("  }")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -301,7 +301,9 @@ def write_smiles(elements, bonds) -> str:
 
     The output re-parses to an isomorphic graph for every label/order the
     parser itself can produce ('other' elements render as a display-only
-    wildcard).
+    wildcard). Each ring bond gets its own ring number, so a graph with
+    more than 99 ring bonds raises ValueError; the walk is iterative, so
+    long chains do not hit the recursion limit.
     """
     n = len(elements)
     if n == 0:
@@ -339,6 +341,9 @@ def write_smiles(elements, bonds) -> str:
     if len(visited) != n:
         raise ValueError("write_smiles requires a connected graph")
 
+    if len(ring_bonds) > 99:
+        # ring numbers are never reused, and the grammar stops at %99
+        raise ValueError(f"write_smiles supports at most 99 ring bonds, got {len(ring_bonds)}")
     ring_digits: dict[int, list[tuple[str, int]]] = {i: [] for i in range(n)}
     for number, (a, b) in enumerate(sorted(ring_bonds), start=1):
         digit = str(number) if number <= 9 else f"%{number:02d}"
@@ -347,22 +352,34 @@ def write_smiles(elements, bonds) -> str:
         ring_digits[a].append((token, b))
         ring_digits[b].append((digit, a))
 
+    # a preorder walk of the spanning tree that follows each chain in a loop
+    # and stacks the rest: atoms (int) still to write and literal tokens
+    # (str), so a long chain needs no recursion
     out: list[str] = []
-
-    def emit(node: int) -> None:
-        out.append(_atom_token(elements[node]))
-        for token, _ in ring_digits[node]:
-            out.append(token)
-        children = tree_children[node]
-        for k, child in enumerate(children):
-            bond = _bond_token(order_of[(node, child)], elements[node], elements[child])
-            last = k == len(children) - 1
-            if not last:
-                out.append("(")
-            out.append(bond)
-            emit(child)
-            if not last:
-                out.append(")")
-
-    emit(0)
+    todo: list[int | str] = [0]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, str):
+            out.append(node)
+            continue
+        while True:
+            out.append(_atom_token(elements[node]))
+            for token, _ in ring_digits[node]:
+                out.append(token)
+            children = tree_children[node]
+            if not children:
+                break
+            last = children[-1]
+            last_bond = _bond_token(order_of[(node, last)], elements[node], elements[last])
+            if len(children) == 1:
+                out.append(last_bond)
+                node = last
+                continue
+            # branches "(" bond child ")" in order, then the last child unbracketed
+            todo.append(last)
+            todo.append(last_bond)
+            for child in reversed(children[:-1]):
+                bond = _bond_token(order_of[(node, child)], elements[node], elements[child])
+                todo.extend((")", child, "(" + bond))
+            break
     return "".join(out)

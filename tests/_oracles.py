@@ -14,7 +14,7 @@ import numpy as np
 
 from gcnx.graphs import AttributedGraph
 from gcnx.model import ForwardTrace, ModelParams
-from gcnx.smiles import AROMATIC, DOUBLE, TRIPLE, Molecule
+from gcnx.smiles import AROMATIC, DOUBLE, TRIPLE, Molecule, _atom_token, _bond_token
 
 
 # ---------------------------------------------------------------- components
@@ -705,3 +705,71 @@ def molecule_svg(
         parts.append("</g>")
     parts.append("</svg>")
     return "\n".join(parts)
+
+
+# ------------------------------------------------------------ SMILES writer
+# write_smiles as gcnx ran it with a recursive tree walk, before the walk
+# became iterative and more than 99 ring bonds became an error.
+
+
+def write_smiles(elements, bonds) -> str:
+    """Serialize a connected labeled graph to the restricted SMILES grammar."""
+    n = len(elements)
+    if n == 0:
+        raise ValueError("cannot serialize an empty molecule")
+    order_of = {}
+    neighbors: list[list[int]] = [[] for _ in range(n)]
+    for i, j, order in bonds:
+        order_of[(i, j)] = order_of[(j, i)] = order
+        neighbors[i].append(j)
+        neighbors[j].append(i)
+    for adj in neighbors:
+        adj.sort()
+
+    tree_children: list[list[int]] = [[] for _ in range(n)]
+    ring_bonds: list[tuple[int, int]] = []
+    seen_edges = set()
+    stack = [0]
+    visited = {0}
+    while stack:
+        u = stack.pop()
+        for v in sorted(neighbors[u], reverse=True):
+            if (u, v) in seen_edges:
+                continue
+            seen_edges.add((u, v))
+            seen_edges.add((v, u))
+            if v in visited:
+                ring_bonds.append((min(u, v), max(u, v)))
+            else:
+                visited.add(v)
+                tree_children[u].append(v)
+                stack.append(v)
+    if len(visited) != n:
+        raise ValueError("write_smiles requires a connected graph")
+
+    ring_digits: dict[int, list[tuple[str, int]]] = {i: [] for i in range(n)}
+    for number, (a, b) in enumerate(sorted(ring_bonds), start=1):
+        digit = str(number) if number <= 9 else f"%{number:02d}"
+        token = _bond_token(order_of[(a, b)], elements[a], elements[b]) + digit
+        ring_digits[a].append((token, b))
+        ring_digits[b].append((digit, a))
+
+    out: list[str] = []
+
+    def emit(node: int) -> None:
+        out.append(_atom_token(elements[node]))
+        for token, _ in ring_digits[node]:
+            out.append(token)
+        children = tree_children[node]
+        for k, child in enumerate(children):
+            bond = _bond_token(order_of[(node, child)], elements[node], elements[child])
+            last = k == len(children) - 1
+            if not last:
+                out.append("(")
+            out.append(bond)
+            emit(child)
+            if not last:
+                out.append(")")
+
+    emit(0)
+    return "".join(out)

@@ -417,7 +417,7 @@ def test_determinism(tmp_path):
         ["checkpoint.json", "train_log.json"],
     )
     checkpoint = str(train_out / "checkpoint.json")
-    run_twice(
+    explain_out = run_twice(
         [
             "explain",
             "--data", "synth:NO:12",
@@ -427,6 +427,11 @@ def test_determinism(tmp_path):
         ],
         ["heatmaps.jsonl"],
     )
+    renders = [explain_out / "render", tmp_path / "explain-second" / "render"]
+    names = sorted(os.listdir(renders[0]))
+    assert len(names) == 2 * 12 and names == sorted(os.listdir(renders[1]))
+    for name in names:
+        assert (renders[0] / name).read_bytes() == (renders[1] / name).read_bytes(), name
     run_twice(
         [
             "metrics",

@@ -33,6 +33,13 @@ def read_jsonl(path):
         return [json.loads(line) for line in fh]
 
 
+def sheet_panel_labels(path):
+    """The label of each panel of an SVG sheet, in sheet order."""
+    svg = "{http://www.w3.org/2000/svg}"
+    root = ET.parse(path).getroot()
+    return [g.find(f"{svg}text").text for g in root.findall(f"{svg}g")]
+
+
 class TestTrain:
     def test_checkpoint_and_log_written(self, trained, capsys):
         assert (trained / "checkpoint.json").exists()
@@ -146,13 +153,18 @@ class TestExplain:
             ]
         )
         assert code == 0
-        rendered = sorted(os.listdir(out / "render"))
-        svgs = [f for f in rendered if f.endswith(".svg")]
-        dots = [f for f in rendered if f.endswith(".dot")]
-        assert len(svgs) == 4 * 2  # one per molecule per method
-        assert len(dots) == len(svgs)
-        sample = (out / "render" / svgs[0]).read_text()
-        assert "<svg" in sample and "circle" in sample
+        mol_ids = {r["molecule_id"] for r in read_jsonl(out / "heatmaps.jsonl")[1:]}
+        assert len(mol_ids) == 4
+        # one SVG sheet and one DOT file per molecule
+        assert sorted(os.listdir(out / "render")) == sorted(
+            f"{mol_id}{ext}" for mol_id in mol_ids for ext in (".svg", ".dot")
+        )
+        for mol_id in mol_ids:
+            assert sheet_panel_labels(out / "render" / f"{mol_id}.svg") == [
+                f"{label} class {c}" for label in ("grad_cam-l2", "eb") for c in (0, 1)
+            ]
+            dot = (out / "render" / f"{mol_id}.dot").read_text()
+            assert dot.count("subgraph cluster_") == 2
 
     def test_render_file_count_reported(self, trained, tmp_path, capsys):
         out = tmp_path / "out"
@@ -169,9 +181,18 @@ class TestExplain:
             ]
         )
         assert code == 0
-        # 5 molecules x (gradient, grad_cam-l1, grad_cam-l2, ceb) x (svg, dot)
-        n_files = 2 * 5 * 4
-        assert len(os.listdir(out / "render")) == n_files
+        # 5 molecules x (svg, dot); each sheet has a row per
+        # (gradient, grad_cam-l1, grad_cam-l2, ceb) and a column per class
+        n_files = 2 * 5
+        rendered = sorted(os.listdir(out / "render"))
+        assert len(rendered) == n_files
+        for name in rendered:
+            if name.endswith(".svg"):
+                assert sheet_panel_labels(out / "render" / name) == [
+                    f"{label} class {c}"
+                    for label in ("gradient", "grad_cam-l1", "grad_cam-l2", "ceb")
+                    for c in (0, 1)
+                ]
         # the whole line, so that no timing can slip into it
         assert capsys.readouterr().out.strip().splitlines()[-1] == (
             f"wrote 40 heatmap records to {out / 'heatmaps.jsonl'} "
@@ -179,7 +200,7 @@ class TestExplain:
         )
 
 
-    @pytest.mark.parametrize("mol_id", ["sub/x", "a\\b", "../x", ".", "..", "x\0y"])
+    @pytest.mark.parametrize("mol_id", ["sub/x", "a\\b", "../x", ".", "..", "x\0y", ""])
     def test_unsafe_render_id_rejected_before_writing(self, trained, tmp_path, capsys, mol_id):
         data = tmp_path / "ids.csv"
         data.write_text(f"id,smiles,label\nok,CCO,1\n{mol_id},CCN,0\n", encoding="utf-8")
@@ -232,9 +253,12 @@ class TestExplain:
             ]
         )
         assert code == 0
-        root = ET.parse(out / "render" / "a&b<c-grad_cam-l2.svg").getroot()
+        sheet = out / "render" / "a&b<c.svg"
+        assert "a&amp;b&lt;c" in sheet.read_text()
+        root = ET.parse(sheet).getroot()
         title = root.find("{http://www.w3.org/2000/svg}text")
-        assert title.text == "a&b<c grad_cam-l2"
+        assert title.text == "a&b<c"
+        assert sheet_panel_labels(sheet) == ["grad_cam-l2 class 0", "grad_cam-l2 class 1"]
 
     def test_unknown_method_exit_2(self, trained, tmp_path, capsys):
         out = tmp_path / "out"

@@ -1,6 +1,9 @@
 """Depictions against the per-molecule oracle in _oracles: the lockstep
 layout must give every molecule the oracle's positions bit for bit, in any
-batch, and the SVG writer must give the oracle's bytes."""
+batch, and every panel of an SVG sheet must hold the bytes of the oracle's
+panel for that class."""
+
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -8,7 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gcnx.datasets import synth_motif_set
-from gcnx.render import BATCH_ELEMENTS, layout_molecule, layout_molecules, molecule_svg
+from gcnx.render import (
+    BATCH_ELEMENTS,
+    layout_molecule,
+    layout_molecules,
+    molecule_dot,
+    molecule_svg,
+)
 from gcnx.smiles import parse_smiles
 
 import _oracles
@@ -104,7 +113,7 @@ def test_layout_equals_oracle_in_any_batch(smiles_list, seed, iterations):
 
 def sample_values(rng, n):
     """Saliency maps of the kinds explain renders: positive, signed, all zero
-    and negative, and a single panel."""
+    and negative, and a map of one class."""
     return [
         {0: rng.random(n), 1: rng.random(n)},
         {0: rng.normal(size=n), 1: np.abs(rng.normal(size=n))},
@@ -113,16 +122,57 @@ def sample_values(rng, n):
     ]
 
 
+# panel labels as explain writes them, and one to escape
+PANEL_LABELS = ("gradient", "grad_cam-l2", "eb", "a&b<c>")
+
+
+def panel_bodies(svg):
+    """Each panel of a sheet as (translate, label text, lines between the
+    label and the panel's </g>), in sheet order."""
+    lines = svg.split("\n")
+    panels = []
+    for k, line in enumerate(lines):
+        if line.startswith('<g transform="translate('):
+            label = lines[k + 1]
+            assert label.startswith('<text x="6" y="14" font-size="11"')
+            text = label[label.index(">") + 1 : label.rindex("</text>")]
+            end = lines.index("</g>", k)
+            panels.append((line[len('<g transform="translate(') : -3], text, lines[k + 2 : end]))
+    return panels
+
+
 class TestSvg:
     @pytest.mark.parametrize("smiles", SVG_SMILES + SYMMETRIC_POSITIVES)
     def test_bytes_match_oracle(self, smiles):
         molecule = parse_smiles(smiles)
         positions = layout_molecule(molecule, seed=5)
         rng = np.random.default_rng(molecule.n_atoms)
-        for values_by_class in sample_values(rng, molecule.n_atoms):
-            for title in ("", "a&b<c> grad_cam-l2"):
-                got = molecule_svg(molecule, values_by_class, positions, title=title)
-                assert got == _oracles.molecule_svg(molecule, values_by_class, positions, title)
+        panels = list(zip(PANEL_LABELS, sample_values(rng, molecule.n_atoms)))
+        for title in ("", "a&b<c> grad_cam-l2"):
+            got = molecule_svg(molecule, panels, positions, title=title)
+            root = ET.fromstring(got)
+            assert root.get("width") == f"{2 * 360:.2f}"
+            assert root.get("height") == f"{len(panels) * 360 + 20:.2f}"
+            if title:
+                assert got.split("\n")[1] == (
+                    '<text x="6" y="14" font-size="12" font-family="monospace">'
+                    f"{_oracles._escape(title)}</text>"
+                )
+            sheet = iter(panel_bodies(got))
+            for row, (label, values_by_class) in enumerate(panels):
+                oracle = {
+                    text: body
+                    for _, text, body in panel_bodies(
+                        _oracles.molecule_svg(molecule, values_by_class, positions)
+                    )
+                }
+                for class_id in sorted(values_by_class):
+                    translate, text, body = next(sheet)
+                    # class c sits in column c, whether or not the row has class 0
+                    assert translate == f"{class_id * 360:.2f},{row * 360 + 20:.2f}"
+                    assert text == f"{_oracles._escape(label)} class {class_id}"
+                    assert body == oracle[f"class {class_id}"]
+            assert next(sheet, None) is None
 
     @pytest.mark.parametrize(
         "smiles, strokes, dashed",
@@ -131,7 +181,32 @@ class TestSvg:
     def test_bond_strokes_in_every_panel(self, smiles, strokes, dashed):
         molecule = parse_smiles(smiles)
         n = molecule.n_atoms
-        svg = molecule_svg(molecule, {0: np.ones(n), 1: np.ones(n)}, layout_molecule(molecule))
-        assert svg.count("<line ") == 2 * strokes
-        assert svg.count('stroke-dasharray="4,3"') == 2 * dashed
-        assert svg.count("<circle ") == 2 * n
+        panels = [(label, {0: np.ones(n), 1: np.ones(n)}) for label in ("gradient", "cam", "eb")]
+        svg = molecule_svg(molecule, panels, layout_molecule(molecule))
+        n_panels = 3 * 2
+        assert svg.count("<line ") == n_panels * strokes
+        assert svg.count('stroke-dasharray="4,3"') == n_panels * dashed
+        assert svg.count("<circle ") == n_panels * n
+
+
+class TestDot:
+    @pytest.mark.parametrize("smiles", SVG_SMILES + SYMMETRIC_POSITIVES)
+    def test_one_cluster_per_panel(self, smiles):
+        molecule = parse_smiles(smiles)
+        rng = np.random.default_rng(molecule.n_atoms)
+        panels = list(zip(PANEL_LABELS, sample_values(rng, molecule.n_atoms)))
+        dot = molecule_dot(molecule, panels)
+        assert dot.startswith("graph molecule {\n") and dot.endswith("\n}\n")
+        clusters = dot.split("  subgraph cluster_")[1:]
+        assert len(clusters) == len(panels)
+        node_ids = []
+        for k, ((label, _), cluster) in enumerate(zip(panels, clusters)):
+            lines = cluster.split("\n")
+            assert lines[0] == f"{k} {{"
+            assert lines[1] == f'    label="{label}";'
+            nodes = [line.split()[0] for line in lines if "fillcolor=" in line]
+            edges = [line for line in lines if " -- " in line]
+            assert len(nodes) == molecule.n_atoms
+            assert len(edges) == len(molecule.bonds)
+            node_ids += nodes
+        assert len(set(node_ids)) == len(node_ids)

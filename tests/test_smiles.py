@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gcnx.graphs import ELEMENT_VOCAB
+from gcnx.datasets import synth_motif_set
+from gcnx.graphs import ELEMENT_VOCAB, ElementLabel
 from gcnx.smiles import (
     AROMATIC,
     D_IN,
@@ -16,6 +17,9 @@ from gcnx.smiles import (
     parse_smiles,
     write_smiles,
 )
+
+import _oracles
+from test_explainers import SYMMETRIC_POSITIVES
 
 
 def count_atom_tokens(s: str) -> int:
@@ -218,3 +222,70 @@ class TestWriter:
         m = parse_smiles(s)
         assert m.n_atoms == n
         assert sorted(o for _, _, o in m.bonds) == sorted(o for _, _, o in bonds)
+
+
+def ladder(rungs: int):
+    """Two carbon chains of `rungs` atoms joined at every position: a graph
+    with rungs - 1 ring bonds."""
+    elements = [ElementLabel("C")] * (2 * rungs)
+    bonds = [(i, i + 1, SINGLE) for i in range(rungs - 1)]
+    bonds += [(rungs + i, rungs + i + 1, SINGLE) for i in range(rungs - 1)]
+    bonds += [(i, rungs + i, SINGLE) for i in range(rungs)]
+    return elements, bonds
+
+
+def degree_sequence(n, bonds):
+    degrees = [0] * n
+    for i, j, _ in bonds:
+        degrees[i] += 1
+        degrees[j] += 1
+    return sorted(degrees)
+
+
+class TestWriterLimits:
+    def test_long_chain_round_trips(self):
+        n = 1500
+        elements = [ElementLabel("C")] * (n - 1) + [ElementLabel("O")]
+        bonds = [(i, i + 1, SINGLE) for i in range(n - 1)]
+        s = write_smiles(elements, bonds)
+        assert s == "C" * (n - 1) + "O"
+        m = parse_smiles(s)
+        assert m.n_atoms == n and len(m.bonds) == n - 1
+
+    def test_99_ring_bonds_round_trip(self):
+        elements, bonds = ladder(100)
+        s = write_smiles(elements, bonds)
+        assert s == _oracles.write_smiles(elements, bonds)
+        assert "%99" in s
+        m = parse_smiles(s)
+        assert m.n_atoms == len(elements) and len(m.bonds) == len(bonds)
+        assert degree_sequence(m.n_atoms, m.bonds) == degree_sequence(len(elements), bonds)
+
+    def test_more_than_99_ring_bonds_rejected(self):
+        elements, bonds = ladder(110)
+        with pytest.raises(ValueError, match="99 ring bonds"):
+            write_smiles(elements, bonds)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_same_strings_as_recursive_writer_on_bench_corpora(self, seed):
+        # the molecules of the benchmark's synth-desk and symmetric-mine corpora
+        molecules = [m for _, m, _ in synth_motif_set(400, "NO", seed=seed).entries]
+        molecules += [parse_smiles(s) for s in SYMMETRIC_POSITIVES]
+        for m in molecules:
+            assert write_smiles(m.elements, m.bonds) == _oracles.write_smiles(m.elements, m.bonds)
+
+    @given(st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_same_strings_as_recursive_writer_with_rings(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 30))
+        elements = [ElementLabel(str(rng.choice(["C", "N", "O"]))) for _ in range(n)]
+        orders = [SINGLE, DOUBLE]
+        bonds = [(int(rng.integers(0, i)), i, int(rng.choice(orders))) for i in range(1, n)]
+        edges = {(i, j) for i, j, _ in bonds}
+        for _ in range(int(rng.integers(0, 6))):
+            i, j = sorted(int(x) for x in rng.choice(n, size=2)) if n > 1 else (0, 0)
+            if i != j and (i, j) not in edges:
+                edges.add((i, j))
+                bonds.append((i, j, SINGLE))
+        assert write_smiles(elements, bonds) == _oracles.write_smiles(elements, bonds)
