@@ -11,13 +11,17 @@ its depictions, before it moves to the next. With --render it first lays
 out every molecule in one render.layout_molecules call, and then writes two
 files per molecule: render/<molecule_id>.svg, one sheet with a row per
 requested (method, layer) and a column per class, and render/<molecule_id>.dot,
-a cluster per (method, layer). Epochs or widths below 1, unknown or
-repeated --methods names, a --layers value with no integer or with a
-repeated one, a negative --top-k, a checkpoint that is not a JSON object,
-whose arrays, shapes or class count disagree, whose featurization is not
-the fixed one or whose config cannot be read and, with --render, a molecule
-id that is empty or not a single file-name component are usage errors
-(exit 2), raised before any artifact is written.
+a cluster per (method, layer). Epochs or widths below 1, a learning rate
+that is not finite and positive, a --methods value with no name or with an
+unknown or repeated one, a --layers value with no integer or with a
+repeated one, a negative --seed, --top-k or --min-occurrence, a --tau or
+--fidelity-threshold that is not finite, a synth: motif that does not
+parse, a checkpoint that is not a JSON object, whose arrays, shapes or
+class count disagree, whose featurization is not the fixed one or whose
+config cannot be read and, with --render, a molecule id that is empty or
+not a single file-name component are usage errors (exit 2), raised before
+any artifact is written. Training that diverges to a non-finite loss exits
+1 and writes no checkpoint.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -180,6 +185,28 @@ def _comma_integers(raw: str) -> list[int]:
     return values
 
 
+def _nonnegative_int(raw: str) -> int:
+    """An integer option that must not be negative."""
+    try:
+        value = int(raw)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {raw!r}")
+    return value
+
+
+def _finite_float(raw: str) -> float:
+    """A number option that must be finite: nan and inf are refused."""
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {raw!r}")
+    return value
+
+
 def _parse_layers(raw: str | None) -> list[int] | None:
     """--layers of explain as distinct integers, or None when not given."""
     if not raw:
@@ -197,6 +224,8 @@ def _parse_layers(raw: str | None) -> list[int] | None:
 def _parse_methods(raw: str) -> list[str]:
     """--methods names: METHODS plus the diagnostic null explainer."""
     methods = [m.strip() for m in raw.split(",") if m.strip()]
+    if not methods:
+        raise ConfigurationError("no methods given")
     unknown = [m for m in methods if m not in METHODS + ("null",)]
     if unknown:
         raise ConfigurationError(
@@ -322,8 +351,6 @@ def cmd_metrics(args) -> int:
 
 def cmd_mine(args) -> int:
     config = effective_config(args, "mine")
-    if args.top_k < 0:
-        raise ConfigurationError(f"--top-k must be nonnegative, got {args.top_k}")
     params = _load_model(args.checkpoint)
     dataset = load_data(args)
 
@@ -399,7 +426,13 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--smiles-column", default="smiles")
     parser.add_argument("--task-column", default="label", help="label column name")
     parser.add_argument("--id-column", default=None)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument(
+        "--seed",
+        type=_nonnegative_int,
+        default=0,
+        help="nonnegative seed of training, the data split, synth: corpora and "
+        "render layouts (default 0)",
+    )
     parser.add_argument("--out-dir", default="out")
 
 
@@ -449,15 +482,33 @@ def build_parser() -> argparse.ArgumentParser:
     p_metrics.add_argument(
         "--methods", default="gradient,grad_cam,grad_cam_avg,eb,ceb"
     )
-    p_metrics.add_argument("--fidelity-threshold", type=float, default=0.01)
+    p_metrics.add_argument(
+        "--fidelity-threshold",
+        type=_finite_float,
+        default=0.01,
+        help="finite normalized heatmap value an atom must exceed to be in a "
+        "method's mask (default 0.01)",
+    )
     p_metrics.set_defaults(func=cmd_metrics)
 
     p_mine = sub.add_parser("mine", help="rank salient substructures")
     _add_common(p_mine)
     p_mine.add_argument("--checkpoint", required=True)
-    p_mine.add_argument("--tau", type=float, default=0.0)
-    p_mine.add_argument("--min-occurrence", type=int, default=10)
-    p_mine.add_argument("--top-k", type=int, default=10)
+    p_mine.add_argument(
+        "--tau",
+        type=_finite_float,
+        default=0.0,
+        help="finite normalized grad_cam value an atom must exceed to be "
+        "activated; -1 activates every atom (default 0)",
+    )
+    p_mine.add_argument(
+        "--min-occurrence",
+        type=_nonnegative_int,
+        default=10,
+        help="nonnegative count that a substructure's molecules (positive plus "
+        "negative) must exceed for it to be reported (default 10)",
+    )
+    p_mine.add_argument("--top-k", type=_nonnegative_int, default=10)
     p_mine.add_argument(
         "--all-samples",
         action="store_true",

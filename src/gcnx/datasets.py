@@ -170,7 +170,10 @@ def synth_motif_set(n: int, motif: str, seed: int = 0) -> LabeledSet:
     rare case an all-carbon motif occurs by chance). Molecules round-trip
     through the SMILES writer and parser, so text and graph always agree.
     """
-    motif_molecule = parse_smiles(motif)
+    try:
+        motif_molecule = parse_smiles(motif)
+    except SmilesParseError as err:
+        raise DataError(f"motif {motif!r} does not parse: {err}") from err
     if motif_molecule.n_atoms > 6:
         raise DataError(f"motif {motif!r} has more than 6 atoms")
     motif_pattern = whole_molecule_fragment(motif_molecule)

@@ -13,6 +13,9 @@ pass stacked over four seeds (each class, with the classifier as it is and
 negated), shared by eb and ceb. explain_pair reads a normalized class pair
 from it, so every pair asked of one source shares that work. Both reverse
 passes carry their seeds as a leading axis through the layer loop.
+Final-layer Grad-CAM needs neither: its score gradient is the classifier
+column spread over the nodes (model.final_layer_score_gradients), so cam
+and final-layer grad_cam together run no reverse pass.
 """
 
 from __future__ import annotations
@@ -22,7 +25,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from gcnx.graphs import AttributedGraph
-from gcnx.model import ForwardTrace, ModelParams, class_score_gradients, forward
+from gcnx.model import (
+    ForwardTrace,
+    ModelParams,
+    class_score_gradients,
+    final_layer_score_gradients,
+    forward,
+)
 
 METHODS = ("gradient", "cam", "grad_cam", "grad_cam_avg", "eb", "ceb")
 
@@ -96,13 +105,17 @@ def excitation_backprop_trace(
 class MoleculeExplanations:
     """Every explainer quantity of one molecule, each computed at most once.
 
-    It is built on one forward trace. The score gradients of all classes
-    come from one stacked backward pass (model.class_score_gradients), which
-    gradient, grad_cam at any layer and grad_cam_avg all read. The
-    excitation masses of every class and classifier sign come from one
-    stacked pass (excitation_backprop_trace), which eb and ceb both read;
-    it runs only if one of them is asked for. cam reads the trace alone.
-    Everything is computed on first use.
+    It is built on one forward trace. grad_cam at the final layer L reads
+    its score gradients from the classifier column
+    (model.final_layer_score_gradients), the same floats the backward pass
+    starts from, so it runs no backward pass. The score gradients of all
+    classes at every layer come from one stacked backward pass
+    (model.class_score_gradients), which gradient, grad_cam below layer L
+    and the lower layers of grad_cam_avg read; it runs only if one of them
+    is asked for. The excitation masses of every class and classifier sign
+    come from one stacked pass (excitation_backprop_trace), which eb and ceb
+    both read; it runs only if one of them is asked for. cam reads the trace
+    alone. Everything is computed on first use.
     """
 
     def __init__(
@@ -115,6 +128,7 @@ class MoleculeExplanations:
         self.params = params
         self.trace = forward(graph, params) if trace is None else trace
         self._gradients: list[np.ndarray] | None = None
+        self._final_gradients: np.ndarray | None = None
         self._excitation: np.ndarray | None = None
 
     def _activation_gradients(self, class_id: int) -> list[np.ndarray]:
@@ -124,7 +138,17 @@ class MoleculeExplanations:
         return [g[class_id] for g in self._gradients]
 
     def _grad_cam_values(self, class_id: int, layer: int) -> np.ndarray:
-        alpha = self._activation_gradients(class_id)[layer].mean(axis=0)
+        if layer == self.trace.n_layers:
+            if self._final_gradients is None:
+                self._final_gradients = final_layer_score_gradients(
+                    self.params, self.trace.n_nodes
+                )
+            gradient = self._final_gradients[class_id]
+        else:
+            gradient = self._activation_gradients(class_id)[layer]
+        # the mean of the repeated rows, not column / N: the two can differ
+        # in the last bit, which flips near-ties between symmetric atoms
+        alpha = gradient.mean(axis=0)
         return np.maximum(self.trace.activations[layer] @ alpha, 0.0)
 
     def _excitation_masses(self, class_id: int) -> np.ndarray:

@@ -24,7 +24,8 @@ class ConfigurationError(ValueError):
 
 
 class TrainingError(ValueError):
-    """Dataset unusable for training (e.g. fewer than two classes)."""
+    """Dataset unusable for training (e.g. fewer than two classes), or
+    training that diverged to a non-finite loss."""
 
 
 class StaleTraceError(RuntimeError):
@@ -47,8 +48,14 @@ class TrainConfig:
             raise ConfigurationError(f"epochs must be positive, got {self.epochs}")
         if any(width < 1 for width in self.layer_sizes):
             raise ConfigurationError(f"layer widths must be positive, got {list(self.layer_sizes)}")
-        if self.learning_rate <= 0:
-            raise ConfigurationError("learning rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigurationError(
+                f"learning rate must be finite and positive, got {self.learning_rate}"
+            )
+        if not (math.isfinite(self.adam_eps) and self.adam_eps >= 0):
+            raise ConfigurationError(
+                f"ADAM eps must be finite and nonnegative, got {self.adam_eps}"
+            )
         for beta in (self.adam_beta1, self.adam_beta2):
             if not 0.0 < beta < 1.0:
                 raise ConfigurationError("ADAM betas must lie in (0, 1)")
@@ -227,6 +234,15 @@ class Gradients:
     activations: list[np.ndarray]  # d(scalar)/dF^l for l = 0..L; [0] is d/dX
 
 
+def _top_layer_gradient(params: ModelParams, d_scores: np.ndarray, n: int) -> np.ndarray:
+    """d(scalar)/dF^L from d(scalar)/d(scores): back through the classifier,
+    then through the mean over the n nodes, so every row is the same. A
+    stacked (K x C) seed gives shape (K, n, d_L)."""
+    # .T is a no-op on a 1-D seed, which keeps the single-seed product as it was
+    d_gap = (params.classifier_weights @ d_scores.T).T
+    return np.repeat((d_gap / n)[..., None, :], n, axis=-2)
+
+
 def _backprop(
     trace: ForwardTrace,
     graph: AttributedGraph,
@@ -247,12 +263,9 @@ def _backprop(
         trace.propagated
     ) != len(params.layer_weights):
         raise StaleTraceError("trace does not match graph/parameters")
-    n = trace.n_nodes
     v = graph.norm_propagation
     d_classifier = trace.gap[:, None] * d_scores[..., None, :]
-    # .T is a no-op on a 1-D seed, which keeps the single-seed product as it was
-    d_gap = (params.classifier_weights @ d_scores.T).T
-    d_act = np.repeat((d_gap / n)[..., None, :], n, axis=-2)
+    d_act = _top_layer_gradient(params, d_scores, trace.n_nodes)
     d_activations = [d_act]
     d_layer_weights = []
     for l in range(trace.n_layers - 1, -1, -1):
@@ -292,6 +305,15 @@ def class_score_gradients(
     its row c equals score_gradients(..., c).activations[l]."""
     seeds = np.eye(params.n_classes)
     return _backprop(trace, graph, params, seeds, weight_grads=False).activations
+
+
+def final_layer_score_gradients(params: ModelParams, n_nodes: int) -> np.ndarray:
+    """d(y^c)/dF^L of every class c on a molecule of n_nodes atoms, with no
+    backward pass: pooling is a mean and the classifier has no bias, so row
+    c is classifier column c over n_nodes, repeated on every node. Shape
+    (C, N, d_L); it is the same array, float for float, as
+    class_score_gradients(...)[L], because that pass starts from it."""
+    return _top_layer_gradient(params, np.eye(params.n_classes), n_nodes)
 
 
 def cross_entropy(trace: ForwardTrace, label: int, weight: float = 1.0) -> float:
@@ -403,7 +425,8 @@ def train(
     Every step updates params.flat in place from one packed gradient buffer.
 
     With a validation set, the returned parameters are the checkpoint with
-    the best validation accuracy (the latest epoch wins ties).
+    the best validation accuracy (the latest epoch wins ties). An epoch
+    whose mean loss is not finite raises TrainingError naming the epoch.
     """
     if not dataset:
         raise TrainingError("empty training set")
@@ -446,9 +469,15 @@ def train(
                 out=grad,
             )
             optimizer.step(params.flat, grad)
+        mean_loss = total_loss / len(dataset)
+        if not math.isfinite(mean_loss):
+            raise TrainingError(
+                f"epoch {epoch}: mean training loss is {mean_loss}; "
+                "training diverged, try a smaller learning rate"
+            )
         record = {
             "epoch": epoch,
-            "loss": total_loss / len(dataset),
+            "loss": mean_loss,
             "train_accuracy": _accuracy(params, dataset),
         }
         if validation:

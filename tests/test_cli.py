@@ -83,16 +83,37 @@ class TestTrain:
             (["--layers", "16,-3"], "layer widths must be positive"),
             (["--epochs", "-2"], "epochs must be positive"),
             (["--layers", ","], "expected comma-separated integers"),
+            (["--lr", "nan"], "learning rate must be finite and positive"),
+            (["--lr", "inf"], "learning rate must be finite and positive"),
+            (["--seed", "-1"], "argument --seed: expected a nonnegative integer"),
+            # a later --data replaces synth:NO:20
+            (["--data", "synth:Q:40"], "motif 'Q' does not parse"),
         ],
     )
     def test_unusable_config_exit_2_before_writing(self, tmp_path, capsys, option, message):
         out = tmp_path / "out"
         try:
             code = main(["train", "--data", "synth:NO:20", *option, "--out-dir", str(out)])
-        except SystemExit as exc:  # argparse rejects a --layers value itself
+        except SystemExit as exc:  # argparse rejects --layers and --seed values itself
             code = exc.code
         assert code == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_diverging_training_exit_1_without_checkpoint(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(
+            [
+                "train",
+                "--data", "synth:NO:20",
+                "--layers", "8",
+                "--epochs", "2",
+                "--lr", "1e308",
+                "--out-dir", str(out),
+            ]
+        )
+        assert code == 1
+        assert "mean training loss is nan" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -281,6 +302,9 @@ class TestExplain:
             (["--methods", "cam,gradient, cam"], "method(s) cam given more than once"),
             (["--methods", "grad_cam", "--layers", "3,3"], "layer(s) 3 given more than once"),
             (["--methods", "grad_cam", "--layers", ","], "expected comma-separated integers"),
+            (["--methods", ""], "no methods given"),
+            (["--methods", ",,"], "no methods given"),
+            (["--render", "--seed", "-1"], "argument --seed: expected a nonnegative integer"),
         ],
     )
     def test_repeated_method_exit_2_before_checkpoint_read(
@@ -288,15 +312,18 @@ class TestExplain:
     ):
         # the checkpoint does not exist: the usage error must come first
         out = tmp_path / "out"
-        code = main(
-            [
-                "explain",
-                "--data", "synth:NO:4",
-                "--checkpoint", str(tmp_path / "absent.json"),
-                *options,
-                "--out-dir", str(out),
-            ]
-        )
+        try:
+            code = main(
+                [
+                    "explain",
+                    "--data", "synth:NO:4",
+                    "--checkpoint", str(tmp_path / "absent.json"),
+                    *options,
+                    "--out-dir", str(out),
+                ]
+            )
+        except SystemExit as exc:  # argparse rejects a --seed value itself
+            code = exc.code
         assert code == 2
         err = capsys.readouterr().err
         assert message in err
@@ -440,21 +467,36 @@ class TestMetrics:
         assert "bogus" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_repeated_method_exit_2_before_checkpoint_read(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "options, messages",
+        [
+            (["--methods", "cam,cam"], ["cam", "more than once"]),
+            (["--methods", ""], ["no methods given"]),
+            (["--fidelity-threshold", "nan"], ["argument --fidelity-threshold", "finite"]),
+            (["--fidelity-threshold", "inf"], ["argument --fidelity-threshold", "finite"]),
+            (["--seed", "-1"], ["argument --seed", "nonnegative"]),
+        ],
+    )
+    def test_repeated_method_exit_2_before_checkpoint_read(
+        self, tmp_path, capsys, options, messages
+    ):
         # the checkpoint does not exist: the usage error must come first
         out = tmp_path / "out"
-        code = main(
-            [
-                "metrics",
-                "--data", "synth:NO:4",
-                "--checkpoint", str(tmp_path / "absent.json"),
-                "--methods", "cam,cam",
-                "--out-dir", str(out),
-            ]
-        )
+        try:
+            code = main(
+                [
+                    "metrics",
+                    "--data", "synth:NO:4",
+                    "--checkpoint", str(tmp_path / "absent.json"),
+                    *options,
+                    "--out-dir", str(out),
+                ]
+            )
+        except SystemExit as exc:  # argparse rejects number values itself
+            code = exc.code
         assert code == 2
         err = capsys.readouterr().err
-        assert "cam" in err and "more than once" in err
+        assert all(message in err for message in messages)
         assert "absent.json" not in err
         assert not out.exists()
 
@@ -547,20 +589,53 @@ class TestMine:
         else:
             assert decisions >= candidates * hosts
 
-    def test_negative_top_k_exit_2(self, trained, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--top-k", "-1"),
+            ("--tau", "nan"),
+            ("--tau", "inf"),
+            ("--min-occurrence", "-5"),
+            ("--seed", "-1"),
+        ],
+    )
+    def test_negative_top_k_exit_2(self, tmp_path, capsys, flag, value):
+        # the checkpoint does not exist: the usage error must come first
         out = tmp_path / "out"
-        code = main(
-            [
-                "mine",
-                "--data", "synth:NO:8",
-                "--checkpoint", str(trained / "checkpoint.json"),
-                "--top-k", "-1",
-                "--out-dir", str(out),
-            ]
-        )
-        assert code == 2
-        assert "--top-k" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:  # argparse rejects the value itself
+            main(
+                [
+                    "mine",
+                    "--data", "synth:NO:8",
+                    "--checkpoint", str(tmp_path / "absent.json"),
+                    flag, value,
+                    "--out-dir", str(out),
+                ]
+            )
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}" in err and "absent.json" not in err
         assert not out.exists()
+
+    def test_runs_no_backward_pass(self, trained, tmp_path, monkeypatch):
+        import gcnx.explainers
+
+        argv = [
+            "mine",
+            "--data", "synth:NO:40",
+            "--checkpoint", str(trained / "checkpoint.json"),
+            "--min-occurrence", "2",
+            "--seed", "3",
+        ]
+        assert main([*argv, "--out-dir", str(tmp_path / "a")]) == 0
+
+        def no_backward_pass(*args, **kwargs):
+            raise AssertionError("mine ran a backward pass")
+
+        monkeypatch.setattr(gcnx.explainers, "class_score_gradients", no_backward_pass)
+        assert main([*argv, "--out-dir", str(tmp_path / "b")]) == 0
+        for name in ("mining.json", "mining.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 class TestParsing:

@@ -11,7 +11,7 @@ from gcnx.explainers import (
     normalize_pair,
 )
 from gcnx.graphs import AttributedGraph
-from gcnx.model import forward, init_params, score_gradients
+from gcnx.model import class_score_gradients, forward, init_params, score_gradients
 from gcnx.smiles import parse_smiles
 
 from _oracles import central_difference, straight_line_eb, tail_class_score
@@ -139,6 +139,20 @@ class TestGradCam:
             MoleculeExplanations(g, p, t).heatmap("grad_cam", 0, 0)
         with pytest.raises(ValueError):
             MoleculeExplanations(g, p, t).heatmap("grad_cam", 0, p.n_layers + 1)
+
+    @pytest.mark.parametrize("widths", [(4, 5, 6), (16, 32, 64), (128, 256, 512)])
+    @pytest.mark.parametrize("seed", [87, 88])
+    def test_final_layer_equals_backward_pass_bit_for_bit(self, seed, widths):
+        # final-layer grad_cam runs no backward pass; its values must still
+        # be the ones the stacked backward pass gives
+        g, p = random_instance(seed=seed, widths=widths, n_classes=2 + seed % 2)
+        t = forward(g, p)
+        top = class_score_gradients(t, g, p)[p.n_layers]
+        source = MoleculeExplanations(g, p, t)
+        for c in range(p.n_classes):
+            expected = np.maximum(t.activations[-1] @ top[c].mean(axis=0), 0.0)
+            assert np.array_equal(source.heatmap("grad_cam", c).values, expected)
+            assert np.array_equal(source.heatmap("grad_cam", c, p.n_layers).values, expected)
 
     @pytest.mark.parametrize("seed", [83, 84])
     def test_alpha_matches_finite_differences(self, seed):
@@ -314,9 +328,12 @@ class TestMoleculeExplanations:
         t = forward(g, p)
         all_methods = [(m, None) for m in METHODS] + [("grad_cam", 1), ("grad_cam", 2)]
         no_excitation = [("gradient", None), ("cam", None), ("grad_cam", 2)]
+        # final-layer grad_cam reads the classifier column: no reverse pass
+        final_layer_only = [("cam", None), ("grad_cam", None), ("grad_cam", 3)]
         for requests, expected_calls in (
             (all_methods, {"backprop": 1, "eb": 1}),
             (no_excitation, {"backprop": 1, "eb": 0}),
+            (final_layer_only, {"backprop": 0, "eb": 0}),
         ):
             calls.update(backprop=0, eb=0)
             source = MoleculeExplanations(g, p)

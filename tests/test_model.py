@@ -22,6 +22,7 @@ from gcnx.model import (
     checkpoint_to_json,
     cross_entropy,
     evaluate,
+    final_layer_score_gradients,
     forward,
     init_params,
     loss_gradients,
@@ -205,6 +206,14 @@ class TestBackward:
                 assert stacked[l].shape == (p.n_classes,) + single[l].shape
                 assert np.max(np.abs(stacked[l][c] - single[l])) <= 1e-12
 
+    @pytest.mark.parametrize("widths", [(4, 5, 6), (16, 32, 64), (128, 256, 512)])
+    def test_final_layer_gradients_equal_backward_pass(self, widths):
+        g, p = random_instance(seed=9, widths=widths, n_classes=3)
+        stacked = class_score_gradients(forward(g, p), g, p)
+        shortcut = final_layer_score_gradients(p, g.n_nodes)
+        assert shortcut.shape == stacked[-1].shape == (3, g.n_nodes, widths[-1])
+        assert np.array_equal(shortcut, stacked[-1])
+
     def test_stale_trace_rejected(self):
         g, p = random_instance(seed=7, n_nodes=5)
         g2, _ = random_instance(seed=8, n_nodes=6, d_in=g.feature_dim)
@@ -356,6 +365,17 @@ class TestTraining:
         trained = result.params.layer_weights + [result.params.classifier_weights]
         for w, ref in zip(trained, weights, strict=True):
             assert w.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("field", ["learning_rate", "adam_eps"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_rates_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match="finite"):
+            TrainConfig(**{field: value})
+
+    def test_diverging_loss_raises(self):
+        cfg = TrainConfig(epochs=5, layer_sizes=(8,), seed=5, learning_rate=1e308)
+        with pytest.raises(TrainingError, match=r"epoch \d+: mean training loss is nan"):
+            train(separable_toy_set(), cfg)
 
     def test_single_class_rejected(self):
         g = single_node_graph([1.0, 0.0])
