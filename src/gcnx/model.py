@@ -144,6 +144,11 @@ class ModelParams:
     def input_dim(self) -> int:
         return self.layer_weights[0].shape[0]
 
+    @property
+    def shapes(self) -> list[tuple[int, int]]:
+        """The shapes of W^1..W^L and the classifier, in flat's order."""
+        return [w.shape for w in self.layer_weights] + [self.classifier_weights.shape]
+
     def copy(self) -> "ModelParams":
         return ModelParams(self.layer_weights, self.classifier_weights, self.layer_sizes)
 
@@ -249,6 +254,7 @@ def _backprop(
     params: ModelParams,
     d_scores: np.ndarray,
     weight_grads: bool = True,
+    out: list[np.ndarray] | None = None,
 ) -> Gradients:
     """Chain rule through classifier, GAP, and the convolution stack, seeded
     with d(scalar)/d(scores).
@@ -258,13 +264,22 @@ def _backprop(
     row k equals the pass seeded with d_scores[k] alone; each row runs the
     same matrix products as a single-seed pass. With weight_grads=False the
     layer-weight gradients are skipped and layer_weights is left empty.
+
+    out, arrays shaped like params.shapes, takes the weight gradients of a
+    single seed: each is written into its array by the same product that
+    would allocate it, and the returned weight gradients are those arrays.
+    The pass then stops at W^1 and activations is left empty, since a
+    caller that keeps only weight gradients reads no d/dF^l.
     """
     if trace.activations[0].shape != graph.node_features.shape or len(
         trace.propagated
     ) != len(params.layer_weights):
         raise StaleTraceError("trace does not match graph/parameters")
+    *d_weights_out, d_classifier_out = out or [None] * (params.n_layers + 1)
     v = graph.norm_propagation
-    d_classifier = trace.gap[:, None] * d_scores[..., None, :]
+    d_classifier = np.multiply(
+        trace.gap[:, None], d_scores[..., None, :], out=d_classifier_out
+    )
     d_act = _top_layer_gradient(params, d_scores, trace.n_nodes)
     d_activations = [d_act]
     d_layer_weights = []
@@ -272,7 +287,11 @@ def _backprop(
         # relu(x) > 0 exactly where x > 0, for every float including -0.0 and NaN
         d_pre = d_act * (trace.activations[l + 1] > 0.0)
         if weight_grads:
-            d_layer_weights.append(trace.propagated[l].T @ d_pre)
+            d_layer_weights.append(
+                np.matmul(trace.propagated[l].T, d_pre, out=d_weights_out[l])
+            )
+        if out is not None and l == 0:
+            break
         d_prop = d_pre @ params.layer_weights[l].T
         d_act = v.T @ d_prop
         d_activations.append(d_act)
@@ -281,7 +300,7 @@ def _backprop(
     return Gradients(
         layer_weights=d_layer_weights,
         classifier_weights=d_classifier,
-        activations=d_activations,
+        activations=[] if out is not None else d_activations,
     )
 
 
@@ -329,12 +348,23 @@ def loss_gradients(
     params: ModelParams,
     label: int,
     weight: float = 1.0,
+    out: list[np.ndarray] | None = None,
 ) -> tuple[float, Gradients]:
-    """Weighted softmax cross-entropy and its gradients."""
+    """Weighted softmax cross-entropy and its gradients.
+
+    With out, arrays shaped like params.shapes (train passes reshaped views
+    of its flat gradient buffer), dW^1..dW^L and the classifier gradient
+    are written into them by matmul(..., out=), the same products that
+    would allocate them, so every float is the same. The pass then stops
+    at W^1: it computes no input gradient d/dX, and the returned Gradients
+    holds those arrays and no activation gradients.
+    """
     d_scores = trace.probabilities.copy()
     d_scores[label] -= 1.0
     d_scores *= weight
-    return cross_entropy(trace, label, weight), _backprop(trace, graph, params, d_scores)
+    return cross_entropy(trace, label, weight), _backprop(
+        trace, graph, params, d_scores, out=out
+    )
 
 
 def occlude(graph: AttributedGraph, mask) -> AttributedGraph:
@@ -350,16 +380,28 @@ def occlude(graph: AttributedGraph, mask) -> AttributedGraph:
 # ----------------------------------------------------------------- training
 
 
+# float64 elements per block of AdamOptimizer.step: 128 KiB per array, so
+# the six arrays one block touches (theta, grad, m, v and two work blocks)
+# stay in L2 across the step's 14 passes
+ADAM_BLOCK = 16_384
+
+
 class AdamOptimizer:
     """ADAM with bias correction (Kingma & Ba, arXiv 1412.6980) over one
-    parameter array of a fixed shape, updated in place.
+    C-contiguous parameter array of a fixed shape, updated in place.
 
     train passes ModelParams.flat, so one step updates every weight. The
-    moments m, v and two work arrays are allocated once; a step runs
-    in-place ufuncs on them and allocates no array. It performs the
-    textbook update's float operations in their order, with c_i = 1 - b_i^t:
+    moments m, v and two work arrays of one block each are allocated once;
+    a step runs in-place ufuncs on them and allocates no array. It performs
+    the textbook update's float operations in their order, with
+    c_i = 1 - b_i^t:
     m = b1 m + (1 - b1) g, v = b2 v + ((1 - b2) g) g,
     theta -= (lr (m / c1)) / (sqrt(v / c2) + eps).
+    The step makes its 14 passes over one block of ADAM_BLOCK elements of
+    the flattened arrays before it moves to the next, so the block stays in
+    cache; every element still sees the same operations in the same order,
+    and the result is the same, bit for bit, as 14 passes over the whole
+    array.
     """
 
     def __init__(self, shape, lr, beta1, beta2, eps):
@@ -370,28 +412,44 @@ class AdamOptimizer:
         self.t = 0
         self.m = np.zeros(shape)
         self.v = np.zeros(shape)
-        self._work = (np.empty(shape), np.empty(shape))
+        # per block: its slice of the flattened arrays, the views of m and v
+        # it covers, and the two work arrays cut to its length
+        m, v = self.m.reshape(-1), self.v.reshape(-1)
+        a, b = np.empty(min(m.size, ADAM_BLOCK)), np.empty(min(m.size, ADAM_BLOCK))
+        self._blocks = []
+        for start in range(0, m.size, ADAM_BLOCK):
+            block = slice(start, start + ADAM_BLOCK)
+            n = m[block].size
+            self._blocks.append((block, m[block], v[block], a[:n], b[:n]))
 
     def step(self, theta: np.ndarray, grad: np.ndarray) -> None:
+        if theta.shape != self.m.shape or grad.shape != self.m.shape:
+            raise ConfigurationError(
+                f"ADAM step on shapes {theta.shape} and {grad.shape}, "
+                f"the optimizer's is {self.m.shape}"
+            )
+        if not theta.flags.c_contiguous:
+            raise ConfigurationError("ADAM updates a C-contiguous parameter array in place")
         self.t += 1
         correction1 = 1.0 - self.beta1**self.t
         correction2 = 1.0 - self.beta2**self.t
-        m, v = self.m, self.v
-        a, b = self._work
-        np.multiply(m, self.beta1, out=m)
-        np.multiply(grad, 1.0 - self.beta1, out=a)
-        np.add(m, a, out=m)
-        np.multiply(v, self.beta2, out=v)
-        np.multiply(grad, 1.0 - self.beta2, out=a)
-        np.multiply(a, grad, out=a)
-        np.add(v, a, out=v)
-        np.divide(v, correction2, out=a)
-        np.sqrt(a, out=a)
-        np.add(a, self.eps, out=a)
-        np.divide(m, correction1, out=b)
-        np.multiply(b, self.lr, out=b)
-        np.divide(b, a, out=b)
-        np.subtract(theta, b, out=theta)
+        theta_flat, grad_flat = theta.reshape(-1), grad.reshape(-1)
+        for block, m, v, a, b in self._blocks:
+            th, g = theta_flat[block], grad_flat[block]
+            np.multiply(m, self.beta1, out=m)
+            np.multiply(g, 1.0 - self.beta1, out=a)
+            np.add(m, a, out=m)
+            np.multiply(v, self.beta2, out=v)
+            np.multiply(g, 1.0 - self.beta2, out=a)
+            np.multiply(a, g, out=a)
+            np.add(v, a, out=v)
+            np.divide(v, correction2, out=a)
+            np.sqrt(a, out=a)
+            np.add(a, self.eps, out=a)
+            np.divide(m, correction1, out=b)
+            np.multiply(b, self.lr, out=b)
+            np.divide(b, a, out=b)
+            np.subtract(th, b, out=th)
 
 
 def class_weights(labels, n_classes: int = 2) -> np.ndarray:
@@ -422,7 +480,12 @@ def train(
 ) -> TrainResult:
     """Train with per-molecule ADAM steps; deterministic for a fixed seed.
 
-    Every step updates params.flat in place from one packed gradient buffer.
+    Every step calls forward, loss_gradients and AdamOptimizer.step once.
+    loss_gradients writes the weight gradients straight into reshaped views
+    of one flat gradient buffer, laid out like params.flat, and computes no
+    input gradient; the optimizer then updates params.flat in place from
+    that buffer. NumPy's floating-point warnings are silenced inside the
+    epoch loop: a run that diverges is reported by the TrainingError below.
 
     With a validation set, the returned parameters are the checkpoint with
     the best validation accuracy (the latest epoch wins ties). An epoch
@@ -445,6 +508,7 @@ def train(
         else np.ones(n_classes)
     )
     grad = np.empty_like(params.flat)
+    grad_views = _views(grad, params.shapes)
     optimizer = AdamOptimizer(
         params.flat.shape,
         cfg.learning_rate,
@@ -456,38 +520,37 @@ def train(
     history: list[dict] = []
     best: tuple[float, int] | None = None
     best_params: ModelParams | None = None
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(len(dataset))
-        total_loss = 0.0
-        for idx in order:
-            graph, label = dataset[idx]
-            trace = forward(graph, params)
-            loss, grads = loss_gradients(trace, graph, params, label, weights[label])
-            total_loss += loss
-            np.concatenate(
-                [g.reshape(-1) for g in grads.layer_weights + [grads.classifier_weights]],
-                out=grad,
-            )
-            optimizer.step(params.flat, grad)
-        mean_loss = total_loss / len(dataset)
-        if not math.isfinite(mean_loss):
-            raise TrainingError(
-                f"epoch {epoch}: mean training loss is {mean_loss}; "
-                "training diverged, try a smaller learning rate"
-            )
-        record = {
-            "epoch": epoch,
-            "loss": mean_loss,
-            "train_accuracy": _accuracy(params, dataset),
-        }
-        if validation:
-            val_acc = _accuracy(params, validation)
-            record["val_accuracy"] = val_acc
-            # ties go to the later epoch: the more-trained model explains better
-            if best is None or val_acc >= best[0]:
-                best = (val_acc, epoch)
-                best_params = params.copy()
-        history.append(record)
+    with np.errstate(all="ignore"):
+        for epoch in range(cfg.epochs):
+            order = rng.permutation(len(dataset))
+            total_loss = 0.0
+            for idx in order:
+                graph, label = dataset[idx]
+                trace = forward(graph, params)
+                loss, _ = loss_gradients(
+                    trace, graph, params, label, weights[label], out=grad_views
+                )
+                total_loss += loss
+                optimizer.step(params.flat, grad)
+            mean_loss = total_loss / len(dataset)
+            if not math.isfinite(mean_loss):
+                raise TrainingError(
+                    f"epoch {epoch}: mean training loss is {mean_loss}; "
+                    "training diverged, try a smaller learning rate"
+                )
+            record = {
+                "epoch": epoch,
+                "loss": mean_loss,
+                "train_accuracy": _accuracy(params, dataset),
+            }
+            if validation:
+                val_acc = _accuracy(params, validation)
+                record["val_accuracy"] = val_acc
+                # ties go to the later epoch: the more-trained model explains better
+                if best is None or val_acc >= best[0]:
+                    best = (val_acc, epoch)
+                    best_params = params.copy()
+            history.append(record)
 
     if validation and best_params is not None:
         return TrainResult(params=best_params, history=history, best_epoch=best[1])

@@ -28,6 +28,12 @@ def trained(tmp_path_factory):
     return out_dir
 
 
+def src_pythonpath():
+    """PYTHONPATH for a `python -m gcnx` subprocess: this checkout's src first."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    return os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+
+
 def read_jsonl(path):
     with open(path, "r", encoding="utf-8") as fh:
         return [json.loads(line) for line in fh]
@@ -114,6 +120,30 @@ class TestTrain:
         )
         assert code == 1
         assert "mean training loss is nan" in capsys.readouterr().err
+        assert not out.exists()
+
+
+    def test_diverging_training_stderr_is_the_error_alone(self, tmp_path):
+        # a subprocess, so stderr holds any NumPy warning as a user sees it
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "gcnx", "train",
+                "--data", "synth:NO:20",
+                "--layers", "8",
+                "--epochs", "2",
+                "--lr", "1e308",
+                "--out-dir", str(out),
+            ],
+            env=dict(os.environ, PYTHONPATH=src_pythonpath()),
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            "error: epoch 0: mean training loss is nan; "
+            "training diverged, try a smaller learning rate\n"
+        )
         assert not out.exists()
 
 
@@ -679,11 +709,9 @@ class TestBlasThreads:
             ]
         )
         assert code == 0
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         outputs = []
         for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=pythonpath)
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src_pythonpath())
             out = tmp_path / f"blas{threads}"
             for command in ("explain", "metrics"):
                 subprocess.run(

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from conftest import drop_last_value, manual_params, random_instance, single_node_graph
 from gcnx.datasets import split, synth_motif_set
 from gcnx.graphs import AttributedGraph, ElementLabel
+import gcnx.model
 from gcnx.model import (
+    ADAM_BLOCK,
     AdamOptimizer,
     ConfigurationError,
     ModelParams,
@@ -29,6 +31,7 @@ from gcnx.model import (
     occlude,
     score_gradients,
     train,
+    _views,
 )
 
 from _oracles import (
@@ -214,6 +217,24 @@ class TestBackward:
         assert shortcut.shape == stacked[-1].shape == (3, g.n_nodes, widths[-1])
         assert np.array_equal(shortcut, stacked[-1])
 
+    @pytest.mark.parametrize("widths", [(16, 32, 64), (128, 256, 512)])
+    def test_loss_gradients_written_into_flat_views_equal_allocated(self, widths):
+        g, p = random_instance(seed=11, widths=widths, n_classes=3)
+        t = forward(g, p)
+        loss, allocated = loss_gradients(t, g, p, 2, 1.7)
+        buffer = np.full(p.flat.size, np.nan)
+        views = _views(buffer, p.shapes)
+        written_loss, written = loss_gradients(t, g, p, 2, 1.7, out=views)
+        assert written_loss == loss
+        assert written.activations == []
+        expected = allocated.layer_weights + [allocated.classifier_weights]
+        for got, view, ref in zip(
+            written.layer_weights + [written.classifier_weights], views, expected, strict=True
+        ):
+            assert got is view
+            assert got.tobytes() == ref.tobytes()
+        assert buffer.tobytes() == b"".join(a.tobytes() for a in expected)
+
     def test_stale_trace_rejected(self):
         g, p = random_instance(seed=7, n_nodes=5)
         g2, _ = random_instance(seed=8, n_nodes=6, d_in=g.feature_dim)
@@ -280,6 +301,24 @@ class TestParams:
             ModelParams([np.ones((2, 3))], np.ones((3, 2)), layer_sizes=(4,))
 
 
+def assert_adam_equals_reference(shapes, rng):
+    """25 steps, every fifth with a zero gradient, of AdamOptimizer over the
+    packed tensors and of ReferenceAdam over each one: theta, m and v must
+    agree byte for byte after every step."""
+    hyper = (float(rng.uniform(1e-4, 0.1)), 0.9, 0.999, 1e-8)
+    tensors = [rng.normal(size=s) for s in shapes]
+    flat = np.concatenate([t.reshape(-1) for t in tensors])
+    flat_opt = AdamOptimizer(flat.shape, *hyper)
+    ref_opt = ReferenceAdam(shapes, *hyper)
+    for step in range(25):
+        scale = 0.0 if step % 5 == 3 else float(rng.choice([1e-6, 1.0, 1e3]))
+        grads = [scale * rng.normal(size=s) for s in shapes]
+        flat_opt.step(flat, np.concatenate([g.reshape(-1) for g in grads]))
+        ref_opt.step(tensors, grads)
+        for packed, parts in ((flat, tensors), (flat_opt.m, ref_opt.m), (flat_opt.v, ref_opt.v)):
+            assert packed.tobytes() == b"".join(part.tobytes() for part in parts)
+
+
 class TestAdam:
     def test_zero_gradient_is_noop(self):
         theta = np.array([[1.0, -2.0], [0.5, 3.0]])
@@ -299,18 +338,27 @@ class TestAdam:
     def test_flat_step_bit_equal_to_per_tensor_reference(self, seed):
         rng = np.random.default_rng(seed)
         shapes = [tuple(int(d) for d in rng.integers(1, 9, size=2)) for _ in range(4)]
-        hyper = (float(rng.uniform(1e-4, 0.1)), 0.9, 0.999, 1e-8)
-        tensors = [rng.normal(size=s) for s in shapes]
-        flat = np.concatenate([t.reshape(-1) for t in tensors])
-        flat_opt = AdamOptimizer(flat.shape, *hyper)
-        ref_opt = ReferenceAdam(shapes, *hyper)
-        for step in range(25):
-            scale = 0.0 if step % 5 == 3 else float(rng.choice([1e-6, 1.0, 1e3]))
-            grads = [scale * rng.normal(size=s) for s in shapes]
-            flat_opt.step(flat, np.concatenate([g.reshape(-1) for g in grads]))
-            ref_opt.step(tensors, grads)
-            for packed, parts in ((flat, tensors), (flat_opt.m, ref_opt.m), (flat_opt.v, ref_opt.v)):
-                assert packed.tobytes() == b"".join(part.tobytes() for part in parts)
+        assert_adam_equals_reference(shapes, rng)
+
+    @pytest.mark.parametrize(
+        "size", [1, ADAM_BLOCK - 1, ADAM_BLOCK, ADAM_BLOCK + 1, 5 * ADAM_BLOCK // 2]
+    )
+    def test_blocked_step_bit_equal_to_reference(self, size):
+        # three tensors, so block edges fall inside tensors and between them
+        cuts = sorted({size // 3, size - size // 4})
+        sizes = [b - a for a, b in zip([0] + cuts, cuts + [size]) if b > a]
+        assert_adam_equals_reference([(n,) for n in sizes], np.random.default_rng(size))
+
+    def test_non_contiguous_theta_rejected(self):
+        theta = np.zeros((4, 4)).T
+        opt = AdamOptimizer(theta.shape, 0.01, 0.9, 0.999, 1e-8)
+        with pytest.raises(ConfigurationError, match="C-contiguous"):
+            opt.step(theta, np.ones((4, 4)))
+
+    def test_mismatched_gradient_shape_rejected(self):
+        opt = AdamOptimizer((6,), 0.01, 0.9, 0.999, 1e-8)
+        with pytest.raises(ConfigurationError, match="shapes"):
+            opt.step(np.zeros(6), np.ones((2, 3)))
 
     def test_step_allocates_less_than_one_vector(self):
         rng = np.random.default_rng(0)
@@ -351,20 +399,52 @@ class TestTraining:
         )
         assert r1.history == r2.history
 
-    @pytest.mark.parametrize("with_validation", [True, False])
-    def test_bit_identical_to_per_tensor_loop(self, with_validation):
-        # at seed 3 validation accuracy peaks at epoch 2 of 4, so returning
-        # the live vector instead of the epoch-2 copy changes the weights
+    @pytest.mark.parametrize(
+        "widths, with_validation, best_epoch",
+        [
+            # at seed 3 validation accuracy peaks at epoch 2 of 4, so returning
+            # the live vector instead of the epoch-2 copy changes the weights
+            ((16, 32, 64), True, 2),
+            ((16, 32, 64), False, None),
+            # 42,944 parameters: the Adam step crosses two block boundaries
+            ((64, 128, 256), True, 3),
+        ],
+    )
+    def test_bit_identical_to_per_tensor_loop(self, widths, with_validation, best_epoch):
         train_set, val_set, _ = split(synth_motif_set(40, "NO", seed=3), 3)
-        cfg = TrainConfig(epochs=4, layer_sizes=(16, 32, 64), seed=3, learning_rate=0.01)
+        cfg = TrainConfig(epochs=4, layer_sizes=widths, seed=3, learning_rate=0.01)
         validation = val_set.graph_pairs() if with_validation else None
         result = train(train_set.graph_pairs(), cfg, validation=validation)
-        weights, history, best_epoch = reference_train(train_set.graph_pairs(), cfg, validation)
-        assert result.best_epoch == best_epoch == (2 if with_validation else None)
+        weights, history, reference_best = reference_train(train_set.graph_pairs(), cfg, validation)
+        assert result.best_epoch == reference_best == best_epoch
         assert result.history == history
         trained = result.params.layer_weights + [result.params.classifier_weights]
         for w, ref in zip(trained, weights, strict=True):
             assert w.tobytes() == ref.tobytes()
+
+    def test_epoch_calls_each_step_function(self, monkeypatch):
+        train_set, val_set, _ = split(synth_motif_set(30, "NO", seed=4), 4)
+        calls = {"forward": 0, "loss_gradients": 0, "step": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(gcnx.model, "forward", counted("forward", forward))
+        monkeypatch.setattr(gcnx.model, "loss_gradients", counted("loss_gradients", loss_gradients))
+        monkeypatch.setattr(AdamOptimizer, "step", counted("step", AdamOptimizer.step))
+        cfg = TrainConfig(epochs=1, layer_sizes=(8, 8), seed=4)
+        train(train_set.graph_pairs(), cfg, validation=val_set.graph_pairs())
+        n_train, n_val = len(train_set.graph_pairs()), len(val_set.graph_pairs())
+        assert n_train > 0 and n_val > 0
+        assert calls == {
+            "forward": 2 * n_train + n_val,
+            "loss_gradients": n_train,
+            "step": n_train,
+        }
 
     @pytest.mark.parametrize("field", ["learning_rate", "adam_eps"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
