@@ -17,11 +17,11 @@ unknown or repeated one, a --layers value with no integer or with a
 repeated one, a negative --seed, --top-k or --min-occurrence, a --tau or
 --fidelity-threshold that is not finite, a synth: motif that does not
 parse, a checkpoint that is not a JSON object, whose arrays, shapes or
-class count disagree, whose featurization is not the fixed one or whose
-config cannot be read and, with --render, a molecule id that is empty or
-not a single file-name component are usage errors (exit 2), raised before
-any artifact is written. Training that diverges to a non-finite loss exits
-1 and writes no checkpoint.
+class count disagree, whose featurization or input width is not the fixed
+one or whose config cannot be read and, with --render, a molecule id that
+is empty or not a single file-name component are usage errors (exit 2),
+raised before any artifact is written. Training that diverges to a
+non-finite loss exits 1 and writes no checkpoint.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ from gcnx.model import (
     train,
 )
 from gcnx.render import layout_molecules, molecule_dot, molecule_svg
-from gcnx.smiles import D_IN
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -135,7 +134,7 @@ def cmd_train(args) -> int:
 
     os.makedirs(args.out_dir, exist_ok=True)
     checkpoint_path = os.path.join(args.out_dir, "checkpoint.json")
-    save_checkpoint(checkpoint_path, result.params, cfg, seed=args.seed)
+    save_checkpoint(checkpoint_path, result.params, cfg)
     log_payload = {
         "header": artifact_header(config),
         "provenance": dataset.provenance,
@@ -209,7 +208,7 @@ def _finite_float(raw: str) -> float:
 
 def _parse_layers(raw: str | None) -> list[int] | None:
     """--layers of explain as distinct integers, or None when not given."""
-    if not raw:
+    if raw is None:
         return None
     try:
         layers = _comma_integers(raw)
@@ -237,17 +236,6 @@ def _parse_methods(raw: str) -> list[str]:
     return methods
 
 
-def _load_model(path: str):
-    """The checkpoint's parameters, checked to take the fixed featurization's
-    rows, so a mismatch exits 2 before any artifact is written."""
-    params, _, _ = load_checkpoint(path)
-    if params.input_dim != D_IN:
-        raise ConfigurationError(
-            f"checkpoint input width {params.input_dim} != the featurization width {D_IN}"
-        )
-    return params
-
-
 def _check_render_id(mol_id: str) -> None:
     """--render names files after molecule ids, so each id must be a single
     file-name component."""
@@ -262,7 +250,7 @@ def cmd_explain(args) -> int:
     config = effective_config(args, "explain")
     methods = _parse_methods(args.methods)
     layers = _parse_layers(args.layers_list)
-    params = _load_model(args.checkpoint)
+    params, _, _ = load_checkpoint(args.checkpoint)
     layers = [params.n_layers] if layers is None else layers
     for layer in layers:
         if not 1 <= layer <= params.n_layers:
@@ -314,7 +302,7 @@ def cmd_explain(args) -> int:
 def cmd_metrics(args) -> int:
     config = effective_config(args, "metrics")
     methods = _parse_methods(args.methods)
-    params = _load_model(args.checkpoint)
+    params, _, _ = load_checkpoint(args.checkpoint)
     dataset = load_data(args)
     data = dataset.graph_pairs()
     reports = metric_suite(params, data, methods, threshold=args.fidelity_threshold)
@@ -351,7 +339,7 @@ def cmd_metrics(args) -> int:
 
 def cmd_mine(args) -> int:
     config = effective_config(args, "mine")
-    params = _load_model(args.checkpoint)
+    params, _, _ = load_checkpoint(args.checkpoint)
     dataset = load_data(args)
 
     predictions = {}

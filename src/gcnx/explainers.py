@@ -5,6 +5,10 @@ layer-averaged variant), and excitation backprop with its contrastive
 extension. All methods read the pre-softmax class score, and all values are
 nonnegative by construction. Heatmaps for the two classes of one molecule
 are normalized jointly so they form a single probability distribution.
+With mean pooling and a bias-free classifier, final-layer Grad-CAM is CAM
+up to the factor 1/N, which that normalization removes (Selvaraju et al.,
+arXiv 1610.02391, section 3); cam therefore returns the final-layer
+grad_cam values themselves, so the two emit identical records.
 
 MoleculeExplanations is the one way to ask for a heatmap. It is built per
 molecule and computes each quantity once: one forward trace, one backward
@@ -13,9 +17,9 @@ pass stacked over four seeds (each class, with the classifier as it is and
 negated), shared by eb and ceb. explain_pair reads a normalized class pair
 from it, so every pair asked of one source shares that work. Both reverse
 passes carry their seeds as a leading axis through the layer loop.
-Final-layer Grad-CAM needs neither: its score gradient is the classifier
-column spread over the nodes (model.final_layer_score_gradients), so cam
-and final-layer grad_cam together run no reverse pass.
+Final-layer Grad-CAM, and with it cam, needs neither: its score gradient
+is the classifier column spread over the nodes
+(model.final_layer_score_gradients), so it runs no reverse pass.
 """
 
 from __future__ import annotations
@@ -44,16 +48,15 @@ class Heatmap:
     normalized: bool = False
     layer: int | None = None
 
-    def to_record(self, molecule_id: str, smiles: str, digits: int = 10) -> dict:
-        """JSON-lines record; values rounded so equivalent methods emit
-        byte-identical payloads."""
+    def to_record(self, molecule_id: str, smiles: str) -> dict:
+        """JSON-lines record, with values rounded to 10 digits."""
         return {
             "molecule_id": molecule_id,
             "smiles": smiles,
             "method": self.method,
             "class": self.class_id,
             "layer": self.layer,
-            "values": [round(float(v), digits) for v in self.values],
+            "values": [round(float(v), 10) for v in self.values],
             "normalized": self.normalized,
         }
 
@@ -108,14 +111,14 @@ class MoleculeExplanations:
     It is built on one forward trace. grad_cam at the final layer L reads
     its score gradients from the classifier column
     (model.final_layer_score_gradients), the same floats the backward pass
-    starts from, so it runs no backward pass. The score gradients of all
-    classes at every layer come from one stacked backward pass
-    (model.class_score_gradients), which gradient, grad_cam below layer L
-    and the lower layers of grad_cam_avg read; it runs only if one of them
-    is asked for. The excitation masses of every class and classifier sign
+    starts from, so it runs no backward pass; cam is that same map. The
+    score gradients of all classes at every layer come from one stacked
+    backward pass (model.class_score_gradients), which gradient, grad_cam
+    below layer L and the lower layers of grad_cam_avg read; it runs only
+    if one of them is asked for. The excitation masses of every class and classifier sign
     come from one stacked pass (excitation_backprop_trace), which eb and ceb
-    both read; it runs only if one of them is asked for. cam reads the trace
-    alone. Everything is computed on first use.
+    both read; it runs only if one of them is asked for. Everything is
+    computed on first use.
     """
 
     def __init__(
@@ -163,9 +166,10 @@ class MoleculeExplanations:
         final layer).
 
         gradient is the norm of the positive part of d(score)/d(features);
-        cam weights the final-layer features by the classifier column;
         grad_cam weights one layer's features by their node-averaged score
-        gradients, and grad_cam_avg is its mean over all layers; ceb keeps
+        gradients, and grad_cam_avg is its mean over all layers; cam is
+        final-layer grad_cam, the final-layer features weighted by the
+        classifier column over N, with layer left None; ceb keeps
         the positive part of the eb pass minus the pass with the classifier
         negated, rescaled to unit mass; null is a diagnostic that marks
         nothing."""
@@ -174,8 +178,7 @@ class MoleculeExplanations:
             clamped = np.maximum(self._activation_gradients(class_id)[0], 0.0)
             values = np.sqrt((clamped * clamped).sum(axis=1))
         elif method == "cam":
-            column = self.params.classifier_weights[:, class_id]
-            values = np.maximum(trace.activations[-1] @ column, 0.0)
+            values = self._grad_cam_values(class_id, trace.n_layers)
         elif method == "grad_cam":
             n_layers = trace.n_layers
             if layer is None:

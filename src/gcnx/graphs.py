@@ -60,8 +60,7 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 class AttributedGraph:
     """A molecule-sized graph with node features and precomputed propagation matrix.
 
-    All arrays are read-only after construction; instances are safe to share
-    across workers.
+    All arrays are read-only after construction.
     """
 
     node_features: np.ndarray

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from gcnx.graphs import AttributedGraph
-from gcnx.smiles import FEATURIZATION
+from gcnx.smiles import D_IN, FEATURIZATION
 
 
 class ConfigurationError(ValueError):
@@ -32,13 +32,16 @@ class StaleTraceError(RuntimeError):
     """A ForwardTrace was paired with a graph or parameters it did not come from."""
 
 
+# ADAM's fixed b1, b2 and eps (Kingma & Ba's defaults), keyed as train_config records them
+ADAM = {"adam_beta1": 0.9, "adam_beta2": 0.999, "adam_eps": 1e-8}
+
+
 @dataclass
 class TrainConfig:
+    """One training run's settings; the ADAM constants are fixed, not set."""
+
     epochs: int = 100
     learning_rate: float = 0.001
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     layer_sizes: tuple[int, ...] = (128, 256, 512)
     seed: int = 0
     class_weighting: bool = True
@@ -52,21 +55,12 @@ class TrainConfig:
             raise ConfigurationError(
                 f"learning rate must be finite and positive, got {self.learning_rate}"
             )
-        if not (math.isfinite(self.adam_eps) and self.adam_eps >= 0):
-            raise ConfigurationError(
-                f"ADAM eps must be finite and nonnegative, got {self.adam_eps}"
-            )
-        for beta in (self.adam_beta1, self.adam_beta2):
-            if not 0.0 < beta < 1.0:
-                raise ConfigurationError("ADAM betas must lie in (0, 1)")
 
     def to_dict(self) -> dict:
         return {
             "epochs": self.epochs,
             "learning_rate": self.learning_rate,
-            "adam_beta1": self.adam_beta1,
-            "adam_beta2": self.adam_beta2,
-            "adam_eps": self.adam_eps,
+            **ADAM,
             "layer_sizes": list(self.layer_sizes),
             "seed": self.seed,
             "class_weighting": self.class_weighting,
@@ -78,6 +72,9 @@ class TrainConfig:
         # older checkpoints record the removed minibatch size, which was always 1
         if d.pop("batch_size", 1) != 1:
             raise ConfigurationError("train_config.batch_size must be 1 if present")
+        for key, value in ADAM.items():
+            if d.pop(key, value) != value:
+                raise ConfigurationError(f"train_config.{key} must be {value} if present")
         unknown = sorted(set(d) - {f.name for f in fields(cls)})
         if unknown:
             raise ConfigurationError(f"train_config has unknown keys {unknown}")
@@ -103,14 +100,13 @@ class ModelParams:
     contiguous float64 vector `flat`; layer_weights and classifier_weights
     are then reshaped views into it, so writing to `flat` writes the
     weights (train's optimizer updates them that way). The shapes must
-    chain (W^l is d_{l-1} x d_l, the classifier d_L x C) and agree with
-    layer_sizes, or ConfigurationError is raised. copy() packs a new,
-    independent vector.
+    chain (W^l is d_{l-1} x d_l, the classifier d_L x C), or
+    ConfigurationError is raised; layer_sizes is read from them. copy()
+    packs a new, independent vector.
     """
 
     layer_weights: list[np.ndarray]
     classifier_weights: np.ndarray
-    layer_sizes: tuple[int, ...]
     flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -125,16 +121,16 @@ class ModelParams:
                     f"weight shapes do not chain: array {l} is {a[0]}x{a[1]}, "
                     f"array {l + 1} is {b[0]}x{b[1]}"
                 )
-        if tuple(self.layer_sizes) != tuple(shape[1] for shape in shapes[:-1]):
-            raise ConfigurationError(
-                f"layer_sizes {list(self.layer_sizes)} disagree with weight shapes {shapes[:-1]}"
-            )
         self.flat = np.concatenate([a.reshape(-1) for a in arrays])
         *self.layer_weights, self.classifier_weights = _views(self.flat, shapes)
 
     @property
     def n_layers(self) -> int:
         return len(self.layer_weights)
+
+    @property
+    def layer_sizes(self) -> tuple[int, ...]:
+        return tuple(w.shape[1] for w in self.layer_weights)
 
     @property
     def n_classes(self) -> int:
@@ -150,7 +146,7 @@ class ModelParams:
         return [w.shape for w in self.layer_weights] + [self.classifier_weights.shape]
 
     def copy(self) -> "ModelParams":
-        return ModelParams(self.layer_weights, self.classifier_weights, self.layer_sizes)
+        return ModelParams(self.layer_weights, self.classifier_weights)
 
 
 def init_params(
@@ -168,11 +164,7 @@ def init_params(
         weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
     bound = np.sqrt(6.0 / (dims[-1] + n_classes))
     classifier = rng.uniform(-bound, bound, size=(dims[-1], n_classes))
-    return ModelParams(
-        layer_weights=weights,
-        classifier_weights=classifier,
-        layer_sizes=tuple(layer_sizes),
-    )
+    return ModelParams(layer_weights=weights, classifier_weights=classifier)
 
 
 @dataclass
@@ -235,7 +227,7 @@ class Gradients:
     """Reverse-mode gradients of one scalar (class score or loss)."""
 
     layer_weights: list[np.ndarray]
-    classifier_weights: np.ndarray
+    classifier_weights: np.ndarray | None
     activations: list[np.ndarray]  # d(scalar)/dF^l for l = 0..L; [0] is d/dX
 
 
@@ -253,17 +245,17 @@ def _backprop(
     graph: AttributedGraph,
     params: ModelParams,
     d_scores: np.ndarray,
-    weight_grads: bool = True,
     out: list[np.ndarray] | None = None,
 ) -> Gradients:
     """Chain rule through classifier, GAP, and the convolution stack, seeded
     with d(scalar)/d(scores).
 
     The pass is linear in its seed, so d_scores may also stack K seeds as
-    rows (K x C). Every gradient then gains a leading axis of length K whose
-    row k equals the pass seeded with d_scores[k] alone; each row runs the
-    same matrix products as a single-seed pass. With weight_grads=False the
-    layer-weight gradients are skipped and layer_weights is left empty.
+    rows (K x C). Every activation gradient then gains a leading axis of
+    length K whose row k equals the pass seeded with d_scores[k] alone; each
+    row runs the same matrix products as a single-seed pass. A stacked pass
+    computes activation gradients only: layer_weights is left empty and
+    classifier_weights is None.
 
     out, arrays shaped like params.shapes, takes the weight gradients of a
     single seed: each is written into its array by the same product that
@@ -275,18 +267,19 @@ def _backprop(
         trace.propagated
     ) != len(params.layer_weights):
         raise StaleTraceError("trace does not match graph/parameters")
+    single = d_scores.ndim == 1
     *d_weights_out, d_classifier_out = out or [None] * (params.n_layers + 1)
     v = graph.norm_propagation
-    d_classifier = np.multiply(
-        trace.gap[:, None], d_scores[..., None, :], out=d_classifier_out
-    )
+    d_classifier = None
+    if single:
+        d_classifier = np.multiply(trace.gap[:, None], d_scores, out=d_classifier_out)
     d_act = _top_layer_gradient(params, d_scores, trace.n_nodes)
     d_activations = [d_act]
     d_layer_weights = []
     for l in range(trace.n_layers - 1, -1, -1):
         # relu(x) > 0 exactly where x > 0, for every float including -0.0 and NaN
         d_pre = d_act * (trace.activations[l + 1] > 0.0)
-        if weight_grads:
+        if single:
             d_layer_weights.append(
                 np.matmul(trace.propagated[l].T, d_pre, out=d_weights_out[l])
             )
@@ -323,7 +316,7 @@ def class_score_gradients(
     stacked one-hot rows. Element l (l = 0..L) has shape (C, N, d_l), and
     its row c equals score_gradients(..., c).activations[l]."""
     seeds = np.eye(params.n_classes)
-    return _backprop(trace, graph, params, seeds, weight_grads=False).activations
+    return _backprop(trace, graph, params, seeds).activations
 
 
 def final_layer_score_gradients(params: ModelParams, n_nodes: int) -> np.ndarray:
@@ -393,8 +386,8 @@ class AdamOptimizer:
     train passes ModelParams.flat, so one step updates every weight. The
     moments m, v and two work arrays of one block each are allocated once;
     a step runs in-place ufuncs on them and allocates no array. It performs
-    the textbook update's float operations in their order, with
-    c_i = 1 - b_i^t:
+    the textbook update's float operations in their order, with the fixed
+    ADAM constants b1, b2, eps and c_i = 1 - b_i^t:
     m = b1 m + (1 - b1) g, v = b2 v + ((1 - b2) g) g,
     theta -= (lr (m / c1)) / (sqrt(v / c2) + eps).
     The step makes its 14 passes over one block of ADAM_BLOCK elements of
@@ -404,11 +397,8 @@ class AdamOptimizer:
     array.
     """
 
-    def __init__(self, shape, lr, beta1, beta2, eps):
+    def __init__(self, shape, lr):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = np.zeros(shape)
         self.v = np.zeros(shape)
@@ -430,22 +420,23 @@ class AdamOptimizer:
             )
         if not theta.flags.c_contiguous:
             raise ConfigurationError("ADAM updates a C-contiguous parameter array in place")
+        beta1, beta2, eps = ADAM["adam_beta1"], ADAM["adam_beta2"], ADAM["adam_eps"]
         self.t += 1
-        correction1 = 1.0 - self.beta1**self.t
-        correction2 = 1.0 - self.beta2**self.t
+        correction1 = 1.0 - beta1**self.t
+        correction2 = 1.0 - beta2**self.t
         theta_flat, grad_flat = theta.reshape(-1), grad.reshape(-1)
         for block, m, v, a, b in self._blocks:
             th, g = theta_flat[block], grad_flat[block]
-            np.multiply(m, self.beta1, out=m)
-            np.multiply(g, 1.0 - self.beta1, out=a)
+            np.multiply(m, beta1, out=m)
+            np.multiply(g, 1.0 - beta1, out=a)
             np.add(m, a, out=m)
-            np.multiply(v, self.beta2, out=v)
-            np.multiply(g, 1.0 - self.beta2, out=a)
+            np.multiply(v, beta2, out=v)
+            np.multiply(g, 1.0 - beta2, out=a)
             np.multiply(a, g, out=a)
             np.add(v, a, out=v)
             np.divide(v, correction2, out=a)
             np.sqrt(a, out=a)
-            np.add(a, self.eps, out=a)
+            np.add(a, eps, out=a)
             np.divide(m, correction1, out=b)
             np.multiply(b, self.lr, out=b)
             np.divide(b, a, out=b)
@@ -509,13 +500,7 @@ def train(
     )
     grad = np.empty_like(params.flat)
     grad_views = _views(grad, params.shapes)
-    optimizer = AdamOptimizer(
-        params.flat.shape,
-        cfg.learning_rate,
-        cfg.adam_beta1,
-        cfg.adam_beta2,
-        cfg.adam_eps,
-    )
+    optimizer = AdamOptimizer(params.flat.shape, cfg.learning_rate)
 
     history: list[dict] = []
     best: tuple[float, int] | None = None
@@ -648,7 +633,7 @@ def _decode_weights(stored, shape, version: int, name: str) -> np.ndarray:
     return flat.reshape(shape)
 
 
-def checkpoint_to_json(params: ModelParams, cfg: TrainConfig, seed: int | None = None) -> str:
+def checkpoint_to_json(params: ModelParams, cfg: TrainConfig) -> str:
     payload = {
         "format_version": CHECKPOINT_VERSION,
         "featurization": FEATURIZATION,
@@ -659,7 +644,7 @@ def checkpoint_to_json(params: ModelParams, cfg: TrainConfig, seed: int | None =
         "classifier_weights": _encode_weights(params.classifier_weights),
         "classifier_shape": list(params.classifier_weights.shape),
         "train_config": cfg.to_dict(),
-        "seed": cfg.seed if seed is None else seed,
+        "seed": cfg.seed,
     }
     return json.dumps(payload, sort_keys=True, indent=1)
 
@@ -676,10 +661,12 @@ def _read_section(key: str, convert, payload: dict):
 
 
 def checkpoint_from_json(text: str) -> tuple[ModelParams, TrainConfig, int]:
-    """Read a format 1 or 2 checkpoint. Every array is checked against its
-    shape, and the shapes against each other, layer_sizes and n_classes;
-    any mismatch, a config that cannot be read, a featurization other than
-    smiles.FEATURIZATION, and text that is not a JSON object, raises
+    """Read a format 1 or 2 checkpoint. It is the one reader that decides
+    what loads: every array is checked against its shape, and the shapes
+    against each other, layer_sizes and n_classes. Any mismatch, a config
+    that cannot be read or that records ADAM constants other than ADAM, a
+    featurization other than smiles.FEATURIZATION, an input width other
+    than smiles.D_IN, and text that is not a JSON object, raises
     ConfigurationError."""
     try:
         payload = json.loads(text)
@@ -708,11 +695,12 @@ def checkpoint_from_json(text: str) -> tuple[ModelParams, TrainConfig, int]:
             version,
             "classifier weights",
         )
-        params = ModelParams(
-            layer_weights=weights,
-            classifier_weights=classifier,
-            layer_sizes=tuple(payload["layer_sizes"]),
-        )
+        params = ModelParams(layer_weights=weights, classifier_weights=classifier)
+        if payload["layer_sizes"] != list(params.layer_sizes):
+            raise ConfigurationError(
+                f"checkpoint layer_sizes {payload['layer_sizes']!r} disagree with "
+                f"weight shapes {layer_shapes}"
+            )
         if payload["n_classes"] != params.n_classes:
             raise ConfigurationError(
                 f"checkpoint n_classes {payload['n_classes']!r} disagrees with "
@@ -724,15 +712,19 @@ def checkpoint_from_json(text: str) -> tuple[ModelParams, TrainConfig, int]:
                 f"checkpoint featurization {payload['featurization']!r} is not "
                 f"the fixed featurization {FEATURIZATION!r}"
             )
+        if params.input_dim != D_IN:
+            raise ConfigurationError(
+                f"checkpoint input width {params.input_dim} != the featurization width {D_IN}"
+            )
         seed = _read_section("seed", int, payload)
     except KeyError as err:
         raise ConfigurationError(f"checkpoint lacks the key {err}") from err
     return params, cfg, seed
 
 
-def save_checkpoint(path, params, cfg, seed=None) -> None:
+def save_checkpoint(path, params, cfg) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(checkpoint_to_json(params, cfg, seed))
+        fh.write(checkpoint_to_json(params, cfg))
 
 
 def load_checkpoint(path) -> tuple[ModelParams, TrainConfig, int]:

@@ -13,7 +13,7 @@ from itertools import permutations
 import numpy as np
 
 from gcnx.graphs import AttributedGraph
-from gcnx.model import ForwardTrace, ModelParams
+from gcnx.model import ADAM, ForwardTrace, ModelParams
 from gcnx.smiles import AROMATIC, DOUBLE, TRIPLE, Molecule, _atom_token, _bond_token
 
 
@@ -527,7 +527,11 @@ def reference_train(dataset, cfg, validation=None):
     weights = class_weights(labels, n_classes) if cfg.class_weighting else np.ones(n_classes)
     tensors = params.layer_weights + [params.classifier_weights]
     optimizer = ReferenceAdam(
-        [t.shape for t in tensors], cfg.learning_rate, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps
+        [t.shape for t in tensors],
+        cfg.learning_rate,
+        ADAM["adam_beta1"],
+        ADAM["adam_beta2"],
+        ADAM["adam_eps"],
     )
     history, best, best_params = [], None, None
     for epoch in range(cfg.epochs):

@@ -1,4 +1,7 @@
 import base64
+import importlib.util
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -76,11 +79,7 @@ def positive_instance(seed, n_nodes=None, d_in=None, widths=None, n_classes=2):
     for c in range(n_classes):
         if np.all(classifier[:, c] <= 0.0):
             classifier[0, c] = abs(classifier[0, c]) + 0.1
-    params = ModelParams(
-        layer_weights=layer_weights,
-        classifier_weights=classifier,
-        layer_sizes=w,
-    )
+    params = ModelParams(layer_weights=layer_weights, classifier_weights=classifier)
     return graph, params
 
 
@@ -94,14 +93,26 @@ def single_node_graph(features, element="C"):
 
 
 def manual_params(layer_weights, classifier_weights):
-    weights = [np.asarray(w, dtype=float) for w in layer_weights]
     return ModelParams(
-        layer_weights=weights,
+        layer_weights=[np.asarray(w, dtype=float) for w in layer_weights],
         classifier_weights=np.asarray(classifier_weights, dtype=float),
-        layer_sizes=tuple(w.shape[1] for w in weights),
     )
 
 
 def drop_last_value(encoded: str) -> str:
     """A format-2 weight payload with its last float64 removed."""
     return base64.b64encode(base64.b64decode(encoded)[:-8]).decode("ascii")
+
+
+def bench_module(name):
+    """Import ``bench/<name>.py`` read only: no bytecode is written into bench/."""
+    path = Path(__file__).resolve().parent.parent / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    return module

@@ -149,12 +149,14 @@ def test_cam_grad_cam_equivalence():
         cam_pair = explain_pair(source, "cam")
         gc_pair = explain_pair(source, "grad_cam")
         for h_cam, h_gc in zip(cam_pair, gc_pair):
-            assert np.max(np.abs(h_cam.values - h_gc.values)) < 1e-10
-        # raw maps are exactly proportional with ratio N (the GAP width)
+            assert np.array_equal(h_cam.values, h_gc.values)
+        # the raw maps are equal too, and N times them is CAM's relu(F w_c)
+        final = source.trace.activations[-1]
         for class_id in (0, 1):
             raw_cam = source.heatmap("cam", class_id).values
-            raw_gc = source.heatmap("grad_cam", class_id).values
-            assert np.max(np.abs(raw_gc * graph.n_nodes - raw_cam)) < 1e-10
+            assert np.array_equal(raw_cam, source.heatmap("grad_cam", class_id).values)
+            column = params.classifier_weights[:, class_id]
+            assert np.max(np.abs(raw_cam * graph.n_nodes - np.maximum(final @ column, 0.0))) < 1e-10
 
 
 # --------------------------------------------------------------- criterion 3

@@ -1,3 +1,4 @@
+import base64
 import json
 import os
 import re
@@ -7,7 +8,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from conftest import drop_last_value
+from conftest import bench_module, drop_last_value
 from gcnx.cli import main
 
 
@@ -190,6 +191,25 @@ class TestExplain:
             if method == "cam":
                 assert values == by_key[(mol_id, "grad_cam", class_id)]
 
+    def test_cam_and_grad_cam_dot_clusters_match_on_symmetric_molecules(self, tmp_path, monkeypatch):
+        # the benchmark's symmetric-mine train and explain stages; symmetric
+        # atoms are where last-bit differences between two CAM computations
+        # showed up as different fill colours
+        workloads = bench_module("workloads")
+        workload = workloads.WORKLOADS["symmetric-mine"]
+        monkeypatch.chdir(tmp_path)
+        rows = workload.corpus(5)
+        workloads.write_corpus("corpus.csv", rows)
+        stages = dict(workloads.stage_argv(workload, 5, "corpus.csv", "out"))
+        assert main(stages["train"]) == 0
+        assert main([*stages["explain"], "--methods", "cam,grad_cam"]) == 0
+        for mol_id, _, _ in rows:
+            dot = (tmp_path / "out" / "render" / f"{mol_id}.dot").read_text()
+            clusters = re.findall(r"  subgraph cluster_\d+ \{\n(.*?)\n  \}\n", dot, re.S)
+            assert [c.splitlines()[0] for c in clusters] == ['    label="cam";', '    label="grad_cam-l3";']
+            cam, grad_cam = (re.sub(r"\bc[01]n", "n", c) for c in clusters)
+            assert cam.replace('label="cam"', 'label="grad_cam-l3"') == grad_cam
+
     def test_render_emits_svg_and_dot(self, trained, tmp_path):
         out = tmp_path / "out"
         code = main(
@@ -332,6 +352,7 @@ class TestExplain:
             (["--methods", "cam,gradient, cam"], "method(s) cam given more than once"),
             (["--methods", "grad_cam", "--layers", "3,3"], "layer(s) 3 given more than once"),
             (["--methods", "grad_cam", "--layers", ","], "expected comma-separated integers"),
+            (["--methods", "grad_cam", "--layers", ""], "expected comma-separated integers"),
             (["--methods", ""], "no methods given"),
             (["--methods", ",,"], "no methods given"),
             (["--render", "--seed", "-1"], "argument --seed: expected a nonnegative integer"),
@@ -390,6 +411,14 @@ class TestExplain:
             (lambda d: d.update(layer_sizes=[8, 32]), "layer_sizes"),
             (lambda d: d.update(n_classes=3), "n_classes"),
             (lambda d: d["featurization"].update(max_degree=4), "not the fixed featurization"),
+            # the featurization record intact, the first array one row short
+            (
+                lambda d: d.update(
+                    layer_weights=[base64.b64encode(bytes(22 * 8 * 8)).decode(), d["layer_weights"][1]],
+                    layer_shapes=[[22, 8], [8, 16]],
+                ),
+                "input width 22 != the featurization width 23",
+            ),
             (lambda d: d["train_config"].update(momentum=0.5), "unknown keys ['momentum']"),
             (lambda d: d["featurization"].update(max_degree="x"), "not the fixed featurization"),
             # same width, elements in another order

@@ -95,11 +95,13 @@ class TestCam:
         assert np.all(MoleculeExplanations(g, p, t).heatmap("cam", 0).values == 0.0)
 
     def test_single_feature_identity_weight(self):
+        # cam is final-layer grad_cam: relu(F w_c) scaled by 1/N
         g, _ = random_instance(seed=73, n_nodes=4, d_in=3)
         p = manual_params([np.abs(np.random.default_rng(0).normal(size=(3, 1)))], [[1.0, -1.0]])
         t = forward(g, p)
         h = MoleculeExplanations(g, p, t).heatmap("cam", 0)
-        assert np.allclose(h.values, np.maximum(t.activations[-1][:, 0], 0.0))
+        assert h.layer is None
+        assert np.allclose(h.values * g.n_nodes, np.maximum(t.activations[-1][:, 0], 0.0))
 
     def test_node_average_recovers_class_score(self):
         g, p = random_instance(seed=74)
@@ -120,11 +122,22 @@ class TestGradCam:
                 assert np.max(np.abs(hc.values - hg.values)) < 1e-10
 
     def test_final_layer_proportional_to_cam_raw(self):
-        g, p = random_instance(seed=81)
-        t = forward(g, p)
-        h_cam = MoleculeExplanations(g, p, t).heatmap("cam", 1)
-        h_gc = MoleculeExplanations(g, p, t).heatmap("grad_cam", 1)
-        assert np.allclose(h_gc.values * g.n_nodes, h_cam.values, atol=1e-12)
+        # the ratio is exactly 1: cam returns the final-layer grad_cam map.
+        # At desk widths relu(F w_c) / N and relu(F mean(w_c / N)) differ in
+        # the last bit on most instances, so equality needs one computation
+        instances = [random_instance(seed=81)]
+        instances += [random_instance(seed=s, widths=(16, 32, 64)) for s in range(900, 940)]
+        for g, p in instances:
+            source = MoleculeExplanations(g, p)
+            for c in (0, 1):
+                assert np.array_equal(
+                    source.heatmap("cam", c).values, source.heatmap("grad_cam", c).values
+                )
+            cam_pair = explain_pair(source, "cam")
+            gc_pair = explain_pair(source, "grad_cam", p.n_layers)
+            for h_cam, h_gc in zip(cam_pair, gc_pair, strict=True):
+                assert np.array_equal(h_cam.values, h_gc.values)
+                assert h_cam.normalized == h_gc.normalized
 
     def test_zero_gradients_zero_heatmap(self):
         g = single_node_graph([1.0, 1.0])

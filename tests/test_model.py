@@ -12,6 +12,7 @@ from gcnx.datasets import split, synth_motif_set
 from gcnx.graphs import AttributedGraph, ElementLabel
 import gcnx.model
 from gcnx.model import (
+    ADAM,
     ADAM_BLOCK,
     AdamOptimizer,
     ConfigurationError,
@@ -31,8 +32,10 @@ from gcnx.model import (
     occlude,
     score_gradients,
     train,
+    _backprop,
     _views,
 )
+from gcnx.smiles import D_IN
 
 from _oracles import (
     ReferenceAdam,
@@ -44,18 +47,29 @@ from _oracles import (
     reference_train,
 )
 
-# checkpoint_to_json(init_params(3, (2,), seed=13), TrainConfig(epochs=3,
-# layer_sizes=(2,), seed=13)) as written while TrainConfig still had a
-# batch_size field, with the whitespace compacted
-LEGACY_CHECKPOINT = """{"classifier_shape": [2, 2], "classifier_weights": [0.27873158003382836,
--1.218300867368178, 1.0052881730368588, 1.1875211398600305], "featurization":
-{"charge_max": 2, "charge_min": -2, "element_vocab": ["B", "C", "N", "O", "P", "S",
-"F", "Cl", "Br", "I", "other"], "max_degree": 5}, "format_version": 1, "layer_shapes":
-[[3, 2]], "layer_sizes": [2], "layer_weights": [[0.7992314693297524,
-0.7784288086664193, 0.6814181257044363, -0.522644836108522, -0.9263095773321494,
-0.9781575164178311]], "n_classes": 2, "seed": 13, "train_config": {"adam_beta1": 0.9,
-"adam_beta2": 0.999, "adam_eps": 1e-08, "batch_size": 1, "class_weighting": true,
-"epochs": 3, "layer_sizes": [2], "learning_rate": 0.001, "seed": 13}}"""
+# A format-1 checkpoint of init_params(D_IN, (2,), seed=13) and
+# TrainConfig(epochs=3, layer_sizes=(2,), seed=13), with weights as lists of
+# JSON numbers and the batch_size field TrainConfig once had, whitespace
+# compacted
+LEGACY_CHECKPOINT = """{"classifier_shape": [2, 2], "classifier_weights": [0.6048682390839666,
+0.5980351529601331, 0.12631382045777229, 1.0495855827103573], "featurization":
+{"charge_max": 2, "charge_min": -2, "element_vocab": ["B", "C", "N", "O", "P", "S", "F",
+"Cl", "Br", "I", "other"], "max_degree": 5}, "format_version": 1, "layer_shapes": [[23,
+2]], "layer_sizes": [2], "layer_weights": [[0.357427179035673, 0.3481239463644582,
+0.30473945003512326, -0.2337338763255784, -0.41425823662475686, 0.43744533988252743,
+0.11149263201353132, -0.4873203469472713, 0.4021152692147436, 0.4750084559440122,
+-0.20938571043715953, 0.3073238814375331, -0.4091549832521891, -0.060472956422132906,
+0.31128485499236125, -0.08942270617376169, 0.01739109027676211, -0.37522275092915025,
+0.307662299228079, -0.0020895045660225264, -0.24663501206808816, 0.27109596043769335,
+0.46954591152854563, 0.03756854343000271, 0.23235881512334255, 0.482804901192335,
+-0.4603791512177982, 0.09697789769486609, 0.45785399592060294, -0.37493205492362536,
+-0.2713040191217555, 0.04921356944451816, 0.21783538685948345, 0.051686600166668706,
+0.04673802365532598, -0.43940041489563564, 0.2343962904759982, -0.17567592493622675,
+-0.41743040807300724, 0.4492053783169283, 0.15644530505479248, -0.04332367429682954,
+0.22795095267424792, -0.021663257007577097, -0.36769649790100695, 0.10246694521955513]],
+"n_classes": 2, "seed": 13, "train_config": {"adam_beta1": 0.9, "adam_beta2": 0.999,
+"adam_eps": 1e-08, "batch_size": 1, "class_weighting": true, "epochs": 3, "layer_sizes":
+[2], "learning_rate": 0.001, "seed": 13}}"""
 
 
 class TestForward:
@@ -209,6 +223,16 @@ class TestBackward:
                 assert stacked[l].shape == (p.n_classes,) + single[l].shape
                 assert np.max(np.abs(stacked[l][c] - single[l])) <= 1e-12
 
+    def test_stacked_pass_computes_no_weight_gradients(self):
+        g, p = random_instance(seed=12, widths=(4, 5, 6), n_classes=3)
+        t = forward(g, p)
+        grads = _backprop(t, g, p, np.eye(3))
+        assert grads.layer_weights == [] and grads.classifier_weights is None
+        assert len(grads.activations) == p.n_layers + 1
+        for c in range(3):
+            single = score_gradients(t, g, p, c).activations
+            assert all(np.array_equal(a[c], b) for a, b in zip(grads.activations, single))
+
     @pytest.mark.parametrize("widths", [(4, 5, 6), (16, 32, 64), (128, 256, 512)])
     def test_final_layer_gradients_equal_backward_pass(self, widths):
         g, p = random_instance(seed=9, widths=widths, n_classes=3)
@@ -297,19 +321,24 @@ class TestParams:
             manual_params([np.ones((2, 3))], np.ones((4, 2)))
 
     def test_layer_sizes_must_match_shapes(self):
-        with pytest.raises(ConfigurationError, match="layer_sizes"):
-            ModelParams([np.ones((2, 3))], np.ones((3, 2)), layer_sizes=(4,))
+        # read from the weight shapes, so they cannot disagree
+        p = ModelParams([np.ones((2, 3)), np.ones((3, 4))], np.ones((4, 2)))
+        assert p.layer_sizes == (3, 4)
+        assert p.copy().layer_sizes == (3, 4)
+        with pytest.raises(TypeError):
+            ModelParams([np.ones((2, 3))], np.ones((3, 2)), layer_sizes=(3,))
 
 
 def assert_adam_equals_reference(shapes, rng):
     """25 steps, every fifth with a zero gradient, of AdamOptimizer over the
     packed tensors and of ReferenceAdam over each one: theta, m and v must
     agree byte for byte after every step."""
-    hyper = (float(rng.uniform(1e-4, 0.1)), 0.9, 0.999, 1e-8)
+    lr = float(rng.uniform(1e-4, 0.1))
     tensors = [rng.normal(size=s) for s in shapes]
     flat = np.concatenate([t.reshape(-1) for t in tensors])
-    flat_opt = AdamOptimizer(flat.shape, *hyper)
-    ref_opt = ReferenceAdam(shapes, *hyper)
+    flat_opt = AdamOptimizer(flat.shape, lr)
+    # the textbook constants, which AdamOptimizer fixes
+    ref_opt = ReferenceAdam(shapes, lr, 0.9, 0.999, 1e-8)
     for step in range(25):
         scale = 0.0 if step % 5 == 3 else float(rng.choice([1e-6, 1.0, 1e3]))
         grads = [scale * rng.normal(size=s) for s in shapes]
@@ -322,14 +351,14 @@ def assert_adam_equals_reference(shapes, rng):
 class TestAdam:
     def test_zero_gradient_is_noop(self):
         theta = np.array([[1.0, -2.0], [0.5, 3.0]])
-        opt = AdamOptimizer(theta.shape, 0.01, 0.9, 0.999, 1e-8)
+        opt = AdamOptimizer(theta.shape, 0.01)
         before = theta.copy()
         opt.step(theta, np.zeros_like(theta))
         assert np.array_equal(theta, before)
 
     def test_descends_quadratic(self):
         theta = np.array([5.0])
-        opt = AdamOptimizer((1,), 0.1, 0.9, 0.999, 1e-8)
+        opt = AdamOptimizer((1,), 0.1)
         for _ in range(500):
             opt.step(theta, 2.0 * theta)
         assert abs(theta[0]) < 1e-3
@@ -351,19 +380,19 @@ class TestAdam:
 
     def test_non_contiguous_theta_rejected(self):
         theta = np.zeros((4, 4)).T
-        opt = AdamOptimizer(theta.shape, 0.01, 0.9, 0.999, 1e-8)
+        opt = AdamOptimizer(theta.shape, 0.01)
         with pytest.raises(ConfigurationError, match="C-contiguous"):
             opt.step(theta, np.ones((4, 4)))
 
     def test_mismatched_gradient_shape_rejected(self):
-        opt = AdamOptimizer((6,), 0.01, 0.9, 0.999, 1e-8)
+        opt = AdamOptimizer((6,), 0.01)
         with pytest.raises(ConfigurationError, match="shapes"):
             opt.step(np.zeros(6), np.ones((2, 3)))
 
     def test_step_allocates_less_than_one_vector(self):
         rng = np.random.default_rng(0)
         theta, grad = rng.normal(size=100_000), rng.normal(size=100_000)
-        opt = AdamOptimizer(theta.shape, 0.001, 0.9, 0.999, 1e-8)
+        opt = AdamOptimizer(theta.shape, 0.001)
         opt.step(theta, grad)
         tracemalloc.start()
         try:
@@ -449,8 +478,11 @@ class TestTraining:
     @pytest.mark.parametrize("field", ["learning_rate", "adam_eps"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_rates_rejected(self, field, value):
-        with pytest.raises(ConfigurationError, match="finite"):
-            TrainConfig(**{field: value})
+        # the learning rate is a setting; ADAM's eps is fixed, and a
+        # recorded value other than the fixed one is refused
+        message = {"learning_rate": "finite", "adam_eps": "adam_eps must be 1e-08"}[field]
+        with pytest.raises(ConfigurationError, match=message):
+            TrainConfig.from_dict({**TrainConfig().to_dict(), field: value})
 
     def test_diverging_loss_raises(self):
         cfg = TrainConfig(epochs=5, layer_sizes=(8,), seed=5, learning_rate=1e308)
@@ -556,14 +588,15 @@ class TestEvaluate:
 
 class TestCheckpoint:
     def test_round_trip_byte_identical(self):
-        p = init_params(6, (4, 5), seed=13)
+        p = init_params(D_IN, (4, 5), seed=13)
         cfg = TrainConfig(epochs=3, layer_sizes=(4, 5), seed=13)
         text = checkpoint_to_json(p, cfg)
         params2, cfg2, seed2 = checkpoint_from_json(text)
-        assert checkpoint_to_json(params2, cfg2, seed2) == text
+        assert seed2 == cfg2.seed == 13
+        assert checkpoint_to_json(params2, cfg2) == text
 
     def test_loaded_params_equal(self):
-        p = init_params(6, (4, 5), seed=13)
+        p = init_params(D_IN, (4, 5), seed=13)
         cfg = TrainConfig(epochs=3, layer_sizes=(4, 5), seed=13)
         params2, _, _ = checkpoint_from_json(checkpoint_to_json(p, cfg))
         for w1, w2 in zip(p.layer_weights, params2.layer_weights):
@@ -572,13 +605,14 @@ class TestCheckpoint:
 
     def test_legacy_batch_size_checkpoint_loads_bit_identical(self):
         params, cfg, seed = checkpoint_from_json(LEGACY_CHECKPOINT)
-        expected = init_params(3, (2,), seed=13)
+        expected = init_params(D_IN, (2,), seed=13)
         for w1, w2 in zip(expected.layer_weights, params.layer_weights):
             assert w1.tobytes() == w2.tobytes()
         assert expected.classifier_weights.tobytes() == params.classifier_weights.tobytes()
         legacy = json.loads(LEGACY_CHECKPOINT)
         del legacy["train_config"]["batch_size"]
-        written = json.loads(checkpoint_to_json(params, cfg, seed))
+        assert seed == 13
+        written = json.loads(checkpoint_to_json(params, cfg))
         assert "batch_size" not in written["train_config"]
         # format 2 changes the version and the weight encoding, nothing else
         weight_fields = {"format_version", "layer_weights", "classifier_weights"}
@@ -616,13 +650,14 @@ class TestCheckpoint:
             checkpoint_from_json(json.dumps(payload))
 
     def test_non_finite_and_signed_zero_weights_round_trip_bit_exact(self):
-        w = np.array([[np.nan, np.inf, -np.inf], [-0.0, 5e-324, -1.5e308]])
+        w = np.ones((D_IN, 3))
+        w[:2] = [[np.nan, np.inf, -np.inf], [-0.0, 5e-324, -1.5e308]]
         p = manual_params([w], np.array([[1.0, np.nan], [-np.inf, 0.0], [2.0, -0.0]]))
         cfg = TrainConfig(epochs=1, layer_sizes=(3,))
         text = checkpoint_to_json(p, cfg)
-        params2, cfg2, seed2 = checkpoint_from_json(text)
+        params2, cfg2, _ = checkpoint_from_json(text)
         assert params2.flat.tobytes() == p.flat.tobytes()
-        assert checkpoint_to_json(params2, cfg2, seed2) == text
+        assert checkpoint_to_json(params2, cfg2) == text
 
     def test_weights_stored_as_little_endian_float64(self):
         p = init_params(3, (2,), seed=13)
@@ -634,20 +669,32 @@ class TestCheckpoint:
     @pytest.mark.parametrize(
         "corrupt, message",
         [
-            (lambda d: d.update(layer_weights=[drop_last_value(d["layer_weights"][0])]), "holds 5"),
+            (lambda d: d.update(layer_weights=[drop_last_value(d["layer_weights"][0])]), "holds 45"),
             (lambda d: d.update(layer_weights=[d["layer_weights"][0][:-4]]), "multiple"),
             (lambda d: d.update(classifier_weights="not base64!"), "cannot be decoded"),
             (lambda d: d.update(classifier_weights=[1.0, 2.0, 3.0, 4.0]), "cannot be decoded"),
-            (lambda d: d.update(layer_shapes=[[2, 3]]), "chain"),
+            (lambda d: d.update(layer_shapes=[[2, D_IN]]), "chain"),
             (lambda d: d.update(layer_sizes=[3]), "layer_sizes"),
             (lambda d: d.update(n_classes=3), "n_classes"),
             (lambda d: d.update(layer_shapes=[[3, 2], [2, 2]]), "2 shapes"),
             (lambda d: d.update(classifier_shape=[2]), "shape must be"),
             (lambda d: d.pop("classifier_shape"), "classifier_shape"),
+            (lambda d: d.update(layer_sizes=2), "layer_sizes 2 disagree"),
+            # the featurization record intact, the first array one row short
+            (
+                lambda d: d.update(
+                    layer_weights=[base64.b64encode(bytes((D_IN - 1) * 2 * 8)).decode()],
+                    layer_shapes=[[D_IN - 1, 2]],
+                ),
+                f"input width {D_IN - 1} != the featurization width {D_IN}",
+            ),
+            (lambda d: d["train_config"].update(adam_beta1=0.8), "adam_beta1 must be 0.9 "),
+            (lambda d: d["train_config"].update(adam_beta2=0.99), "adam_beta2 must be 0.999 "),
+            (lambda d: d["train_config"].update(adam_eps=0.0), "adam_eps must be 1e-08 "),
         ],
     )
     def test_inconsistent_checkpoint_rejected(self, corrupt, message):
-        p = init_params(3, (2,), seed=13)
+        p = init_params(D_IN, (2,), seed=13)
         payload = json.loads(checkpoint_to_json(p, TrainConfig(epochs=1, layer_sizes=(2,))))
         corrupt(payload)
         with pytest.raises(ConfigurationError, match=message):
@@ -656,5 +703,13 @@ class TestCheckpoint:
     def test_v1_payload_with_wrong_length_rejected(self):
         payload = json.loads(LEGACY_CHECKPOINT)
         payload["layer_weights"][0].pop()
-        with pytest.raises(ConfigurationError, match="holds 5 values"):
+        with pytest.raises(ConfigurationError, match="holds 45 values"):
             checkpoint_from_json(json.dumps(payload))
+
+    def test_adam_constants_written_and_absent_ones_accepted(self):
+        cfg = TrainConfig(layer_sizes=(2,))
+        written = json.loads(checkpoint_to_json(init_params(D_IN, (2,)), cfg))
+        assert {k: written["train_config"][k] for k in ADAM} == ADAM
+        for key in ADAM:
+            del written["train_config"][key]
+        assert checkpoint_from_json(json.dumps(written))[1] == cfg
