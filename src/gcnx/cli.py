@@ -17,9 +17,10 @@ unknown or repeated one, a --layers value with no integer or with a
 repeated one, a negative --seed, --top-k or --min-occurrence, a --tau or
 --fidelity-threshold that is not finite, a synth: motif that does not
 parse, a checkpoint that is not a JSON object, whose arrays, shapes or
-class count disagree, whose featurization or input width is not the fixed
-one or whose config cannot be read and, with --render, a molecule id that
-is empty or not a single file-name component are usage errors (exit 2),
+class count disagree, whose class count is not 2, whose weights are not
+all finite, whose featurization or input width is not the fixed one or
+whose config cannot be read and, with --render, a molecule id that is
+empty or not a single file-name component are usage errors (exit 2),
 raised before any artifact is written. Training that diverges to a
 non-finite loss exits 1 and writes no checkpoint.
 """
@@ -275,14 +276,14 @@ def cmd_explain(args) -> int:
             panels = []
             for method in methods:
                 for layer in layers if method == "grad_cam" else [None]:
-                    h_pos, h_neg = explain_pair(source, method, layer)
-                    for heat in (h_neg, h_pos):
+                    pair = explain_pair(source, method, layer)
+                    for heat in pair:
                         record = heat.to_record(mol_id, molecule.source_string)
                         fh.write(json.dumps(record) + "\n")
                     n_records += 2
                     if args.render:
                         label = method + (f"-l{layer}" if layer is not None else "")
-                        panels.append((label, {0: h_neg.values, 1: h_pos.values}))
+                        panels.append((label, {h.class_id: h.values for h in pair}))
             if args.render:
                 stem = os.path.join(render_dir, mol_id)
                 with open(stem + ".svg", "w", encoding="utf-8") as out:
@@ -347,9 +348,9 @@ def cmd_mine(args) -> int:
     for mol_id, molecule, _ in dataset.entries:
         trace = forward(molecule.graph, params)
         predicted = int(np.argmax(trace.probabilities))
-        h_pos, h_neg = explain_pair(MoleculeExplanations(molecule.graph, params, trace), "grad_cam")
+        source = MoleculeExplanations(molecule.graph, params, trace)
         predictions[mol_id] = predicted
-        heatmaps[mol_id] = (h_pos if predicted == 1 else h_neg).values
+        heatmaps[mol_id] = explain_pair(source, "grad_cam")[predicted].values
 
     counts: dict[str, int] = {}
     records = mine(

@@ -67,7 +67,8 @@ def load_csv(
     or blank label cells are skipped with a logged warning and counted."""
     if not os.path.exists(path):
         raise DataError(f"dataset file not found: {path}")
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    # utf-8-sig drops the byte-order mark that spreadsheet exports put first
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         # a short row reads its missing cells as blank
         reader = csv.DictReader(fh, restval="")
         if reader.fieldnames is None:

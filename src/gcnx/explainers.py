@@ -4,7 +4,8 @@ Five families: gradient saliency, CAM, Grad-CAM (any layer, plus the
 layer-averaged variant), and excitation backprop with its contrastive
 extension. All methods read the pre-softmax class score, and all values are
 nonnegative by construction. Heatmaps for the two classes of one molecule
-are normalized jointly so they form a single probability distribution.
+are normalized jointly so they form a single probability distribution,
+and every pair is in class order: pair[c] is class c's map.
 With mean pooling and a bias-free classifier, final-layer Grad-CAM is CAM
 up to the factor 1/N, which that normalization removes (Selvaraju et al.,
 arXiv 1610.02391, section 3); cam therefore returns the final-layer
@@ -210,29 +211,23 @@ class MoleculeExplanations:
 # ------------------------------------------------------------ normalization
 
 
-def normalize_pair(h_pos: Heatmap, h_neg: Heatmap) -> tuple[Heatmap, Heatmap]:
+def normalize_pair(h0: Heatmap, h1: Heatmap) -> tuple[Heatmap, Heatmap]:
     """Scale both class heatmaps by their joint sum so the pair forms one
-    probability distribution. An all-zero pair is returned unscaled and
-    flagged unnormalized."""
-    joint = float(h_pos.values.sum() + h_neg.values.sum())
+    probability distribution, and return them in the order given. An
+    all-zero pair is returned unscaled and flagged unnormalized."""
+    joint = float(h0.values.sum() + h1.values.sum())
     if joint == 0.0:
-        return (
-            replace(h_pos, normalized=False),
-            replace(h_neg, normalized=False),
-        )
+        return replace(h0, normalized=False), replace(h1, normalized=False)
     return (
-        replace(h_pos, values=h_pos.values / joint, normalized=True),
-        replace(h_neg, values=h_neg.values / joint, normalized=True),
+        replace(h0, values=h0.values / joint, normalized=True),
+        replace(h1, values=h1.values / joint, normalized=True),
     )
 
 
 def explain_pair(
     source: MoleculeExplanations, method: str, layer: int | None = None
 ) -> tuple[Heatmap, Heatmap]:
-    """Normalized (positive-class, negative-class) heatmap pair.
-
-    Class 1 is treated as the positive class throughout the pipeline. Pairs
-    asked of the same source share its gradients and excitation pass."""
-    return normalize_pair(
-        source.heatmap(method, 1, layer), source.heatmap(method, 0, layer)
-    )
+    """Normalized heatmap pair in class order: (class 0, class 1), so
+    pair[c] is class c's map. Pairs asked of the same source share its
+    gradients and excitation pass."""
+    return normalize_pair(*(source.heatmap(method, c, layer) for c in (0, 1)))

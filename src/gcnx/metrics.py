@@ -6,11 +6,11 @@ masks over their union; sparsity is the fraction of nodes outside the
 union; fidelity is the accuracy drop after occluding salient nodes,
 macro-averaged over true classes.
 
-metric_suite and fidelity share one loop over molecules. Each molecule
-gets one forward and one explainers.MoleculeExplanations for all methods.
-Fidelity occludes the predicted-class mask of the same pair that
-contrastivity and sparsity read, and methods whose masks coincide share
-one occlusion forward.
+metric_suite computes every measure in one loop over the molecules, with
+one forward and one explainers.MoleculeExplanations per molecule. Its pairs
+are in class order, so fidelity occludes masks[predicted] of the pair that
+contrastivity and sparsity read; methods whose masks coincide share one
+occlusion forward. fidelity is metric_suite's fidelity of one method.
 """
 
 from __future__ import annotations
@@ -50,58 +50,11 @@ def sparsity(m0, m1, n_nodes: int) -> float:
     return 100.0 * (1.0 - union / n_nodes)
 
 
-@dataclass
-class _Outcome:
-    """One method's outcome on one molecule."""
-
-    label: int
-    masks: tuple[np.ndarray, np.ndarray]  # positive-class, negative-class
-    predicted: int
-    predicted_after: int  # after occluding the predicted class's mask
-
-
-def _explain_molecule(graph, label, params, methods, threshold) -> list[_Outcome]:
-    """Masks and occlusion outcome of every method on one molecule: one
-    forward, one shared explanation source, and one occlusion forward per
-    distinct nonempty predicted-class mask."""
-    source = MoleculeExplanations(graph, params)
-    predicted = int(np.argmax(source.trace.probabilities))
-    after_by_mask = {}
-    outcomes = []
-    for method in methods:
-        h_pos, h_neg = explain_pair(source, method)
-        masks = (binarize(h_pos, threshold), binarize(h_neg, threshold))
-        mask = masks[0] if predicted == 1 else masks[1]
-        key = mask.tobytes()
-        if key not in after_by_mask:
-            if mask.any():
-                occluded_trace = forward(occlude(graph, mask), params)
-                after_by_mask[key] = int(np.argmax(occluded_trace.probabilities))
-            else:
-                after_by_mask[key] = predicted
-        outcomes.append(_Outcome(label, masks, predicted, after_by_mask[key]))
-    return outcomes
-
-
-def _outcomes(params, dataset, methods, threshold) -> list[tuple[_Outcome, ...]]:
-    """The one loop over molecules; element m holds method m's outcomes in
-    dataset order."""
-    rows = [
-        _explain_molecule(graph, label, params, methods, threshold)
-        for graph, label in dataset
-    ]
-    return list(zip(*rows))
-
-
-def _fidelity(outcomes) -> float:
-    per_class: dict[int, list[tuple[bool, bool]]] = {}
-    for o in outcomes:
-        per_class.setdefault(o.label, []).append(
-            (o.predicted == o.label, o.predicted_after == o.label)
-        )
+def _fidelity(runs_by_label: dict[int, list[tuple[bool, bool]]]) -> float:
+    """Macro-averaged accuracy drop from per-label (correct before, after) runs."""
     drops = []
-    for label in sorted(per_class):
-        runs = per_class[label]
+    for label in sorted(runs_by_label):
+        runs = runs_by_label[label]
         acc_before = sum(1 for before, _ in runs if before) / len(runs)
         acc_after = sum(1 for _, after in runs if after) / len(runs)
         drops.append(acc_before - acc_after)
@@ -115,10 +68,9 @@ def fidelity(
     threshold: float = DEFAULT_THRESHOLD,
 ) -> float:
     """Accuracy drop from occluding nodes salient for the predicted class,
-    macro-averaged over the true classes present in the dataset."""
-    if not dataset:
-        raise ValueError("empty dataset")
-    return _fidelity(_outcomes(params, dataset, [method], threshold)[0])
+    macro-averaged over the true classes present in the dataset: the
+    fidelity of metric_suite run on this one method."""
+    return metric_suite(params, dataset, [method], threshold)[0].fidelity
 
 
 @dataclass
@@ -151,35 +103,51 @@ def metric_suite(
     methods,
     threshold: float = DEFAULT_THRESHOLD,
 ) -> list[MetricReport]:
-    """Per-method aggregation; population standard deviations; degenerate
-    (empty-union) molecules are excluded from the contrastivity mean but
-    still count toward sparsity. Fidelity reads the same masks."""
+    """Per-method lists in dataset order from one loop over the molecules;
+    population standard deviations; degenerate (empty-union) molecules are
+    excluded from the contrastivity mean but still count toward sparsity.
+    Fidelity reads the same masks."""
     methods = list(methods)
     if not dataset:
         raise ValueError("empty dataset")
-    reports = []
-    per_method = _outcomes(params, dataset, methods, threshold)
-    for method, outcomes in zip(methods, per_method):
-        contrastivities = []
-        sparsities = []
-        n_degenerate = 0
-        for (graph, _), o in zip(dataset, outcomes):
-            m0, m1 = o.masks
+    contrastivities = {method: [] for method in methods}
+    sparsities = {method: [] for method in methods}
+    n_degenerate = dict.fromkeys(methods, 0)
+    runs = {method: {} for method in methods}  # label -> [(correct before, after)]
+    for graph, label in dataset:
+        source = MoleculeExplanations(graph, params)
+        predicted = int(np.argmax(source.trace.probabilities))
+        after_by_mask = {}
+        for method in methods:
+            m0, m1 = masks = [binarize(h, threshold) for h in explain_pair(source, method)]
             if not (m0.any() or m1.any()):
-                n_degenerate += 1
+                n_degenerate[method] += 1
             else:
-                contrastivities.append(contrastivity(m0, m1))
-            sparsities.append(sparsity(m0, m1, graph.n_nodes))
+                contrastivities[method].append(contrastivity(m0, m1))
+            sparsities[method].append(sparsity(m0, m1, graph.n_nodes))
+            mask = masks[predicted]
+            key = mask.tobytes()
+            if key not in after_by_mask:
+                after_by_mask[key] = predicted
+                if mask.any():
+                    occluded_trace = forward(occlude(graph, mask), params)
+                    after_by_mask[key] = int(np.argmax(occluded_trace.probabilities))
+            runs[method].setdefault(label, []).append(
+                (predicted == label, after_by_mask[key] == label)
+            )
+    reports = []
+    for method in methods:
+        scores = contrastivities[method]
         reports.append(
             MetricReport(
                 method=method,
-                fidelity=_fidelity(outcomes),
-                contrastivity_mean=float(np.mean(contrastivities)) if contrastivities else 0.0,
-                contrastivity_std=float(np.std(contrastivities)) if contrastivities else 0.0,
-                sparsity_mean=float(np.mean(sparsities)),
-                sparsity_std=float(np.std(sparsities)),
+                fidelity=_fidelity(runs[method]),
+                contrastivity_mean=float(np.mean(scores)) if scores else 0.0,
+                contrastivity_std=float(np.std(scores)) if scores else 0.0,
+                sparsity_mean=float(np.mean(sparsities[method])),
+                sparsity_std=float(np.std(sparsities[method])),
                 n_molecules=len(dataset),
-                n_degenerate=n_degenerate,
+                n_degenerate=n_degenerate[method],
             )
         )
     return reports

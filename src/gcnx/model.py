@@ -609,7 +609,8 @@ def _encode_weights(array: np.ndarray) -> str:
 
 
 def _decode_weights(stored, shape, version: int, name: str) -> np.ndarray:
-    """One weight array of a checkpoint, checked against its recorded shape."""
+    """One weight array of a checkpoint, checked against its recorded shape
+    and for values that are not finite (NaN or infinite)."""
     if not (
         isinstance(shape, list)
         and len(shape) == 2
@@ -630,6 +631,8 @@ def _decode_weights(stored, shape, version: int, name: str) -> np.ndarray:
         raise ConfigurationError(
             f"checkpoint {name} holds {flat.size} values, its shape {shape} needs {size}"
         )
+    if not np.isfinite(flat).all():
+        raise ConfigurationError(f"checkpoint {name} holds a value that is not finite")
     return flat.reshape(shape)
 
 
@@ -663,10 +666,11 @@ def _read_section(key: str, convert, payload: dict):
 def checkpoint_from_json(text: str) -> tuple[ModelParams, TrainConfig, int]:
     """Read a format 1 or 2 checkpoint. It is the one reader that decides
     what loads: every array is checked against its shape, and the shapes
-    against each other, layer_sizes and n_classes. Any mismatch, a config
-    that cannot be read or that records ADAM constants other than ADAM, a
-    featurization other than smiles.FEATURIZATION, an input width other
-    than smiles.D_IN, and text that is not a JSON object, raises
+    against each other, layer_sizes and n_classes. Any mismatch, a class
+    count other than 2, a weight that is not finite, a config that cannot
+    be read or that records ADAM constants other than ADAM, a featurization
+    other than smiles.FEATURIZATION, an input width other than
+    smiles.D_IN, and text that is not a JSON object, raises
     ConfigurationError."""
     try:
         payload = json.loads(text)
@@ -705,6 +709,11 @@ def checkpoint_from_json(text: str) -> tuple[ModelParams, TrainConfig, int]:
             raise ConfigurationError(
                 f"checkpoint n_classes {payload['n_classes']!r} disagrees with "
                 f"classifier shape {list(classifier.shape)}"
+            )
+        if params.n_classes != 2:
+            raise ConfigurationError(
+                f"checkpoint has {params.n_classes} classes; every stage explains "
+                "a two-class model"
             )
         cfg = _read_section("train_config", TrainConfig.from_dict, payload)
         if payload["featurization"] != FEATURIZATION:

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 from conftest import bench_module, drop_last_value
@@ -437,6 +438,39 @@ class TestExplain:
         code = main(
             [
                 "explain",
+                "--data", "synth:NO:4",
+                "--checkpoint", str(checkpoint),
+                "--out-dir", str(out),
+            ]
+        )
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["explain", "metrics", "mine"])
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda w: np.where(w == w.flat[0], np.nan, w), "holds a value that is not finite"),
+            (lambda w: np.hstack([w, w[:, :1]]), "has 3 classes"),
+        ],
+        ids=["nan_weight", "three_classes"],
+    )
+    def test_unusable_classifier_exit_2_before_writing(
+        self, trained, tmp_path, capsys, command, corrupt, message
+    ):
+        payload = json.loads((trained / "checkpoint.json").read_text())
+        stored = np.frombuffer(base64.b64decode(payload["classifier_weights"]), "<f8")
+        classifier = corrupt(stored.reshape(payload["classifier_shape"]))
+        payload["classifier_weights"] = base64.b64encode(classifier.tobytes()).decode("ascii")
+        payload["classifier_shape"] = list(classifier.shape)
+        payload["n_classes"] = classifier.shape[1]
+        checkpoint = tmp_path / "checkpoint.json"
+        checkpoint.write_text(json.dumps(payload), encoding="utf-8")
+        out = tmp_path / "out"
+        code = main(
+            [
+                command,
                 "--data", "synth:NO:4",
                 "--checkpoint", str(checkpoint),
                 "--out-dir", str(out),

@@ -83,6 +83,26 @@ class TestLoadCsv:
         assert ds.class_counts == (1, 1)
         assert ds.skipped == 3
 
+    @pytest.mark.parametrize(
+        "header, rows",
+        [
+            ("smiles,label", ["CCO,1", "CC,0", "not_a_molecule,1"]),
+            ("id,smiles,label", ["a,CCO,1", "b,CC,0", "c,CO,"]),
+        ],
+    )
+    def test_utf8_bom_loads_the_same_rows(self, tmp_path, header, rows):
+        # spreadsheet "CSV UTF-8" exports start with a byte-order mark
+        plain = write_csv(tmp_path, "plain.csv", rows, header=header)
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + (tmp_path / "plain.csv").read_bytes())
+        id_column = "id" if header.startswith("id") else None
+        want = load_csv(plain, "smiles", "label", id_column=id_column)
+        got = load_csv(str(bom), "smiles", "label", id_column=id_column)
+        assert [(i, m.source_string, y) for i, m, y in got.entries] == [
+            (i, m.source_string, y) for i, m, y in want.entries
+        ]
+        assert (got.skipped, got.label_census) == (want.skipped, want.label_census)
+
 
 class TestSynthMotifSet:
     def test_balanced_and_labeled_by_containment(self):

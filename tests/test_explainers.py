@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import manual_params, positive_instance, random_instance, single_node_graph
+from conftest import (
+    bench_module,
+    manual_params,
+    positive_instance,
+    random_instance,
+    single_node_graph,
+)
 from gcnx.explainers import (
     METHODS,
     Heatmap,
@@ -18,22 +24,7 @@ from _oracles import central_difference, straight_line_eb, tail_class_score
 from _oracles import excitation_backprop_trace as per_seed_eb
 
 # The symmetric positives of the benchmark's symmetric-mine corpus.
-SYMMETRIC_POSITIVES = (
-    "FC(F)(F)C(F)(F)C(F)(F)F",
-    "FC(F)(F)C(F)(F)C(F)(F)C(F)(F)F",
-    "FC(F)(F)C(F)(F)C(F)(F)C(F)(F)C(F)(F)F",
-    "FC(F)(F)C(F)(F)C(F)(F)C(F)(F)C(F)(F)C(F)(F)F",
-    "ClC(Cl)(Cl)C(Cl)(Cl)Cl",
-    "ClC(Cl)(Cl)C(Cl)(Cl)C(Cl)(Cl)Cl",
-    "ClC(Cl)(Cl)C(Cl)(Cl)C(Cl)(Cl)C(Cl)(Cl)Cl",
-    "CCCC(C)(C)C",
-    "C(C)(C)CCCCC(C)(C)C",
-    "C(C)(C)CCC(C(C)(C)C)CC(C)(C)C",
-    "c1ccc2ccccc2c1",
-    "c1ccc2cc3ccccc3cc2c1",
-    "c1cc2ccc3cccc4ccc(c1)c2c34",
-    "C1C2CC3CC1CC(C2)C3",
-)
+SYMMETRIC_POSITIVES = tuple(smiles for smiles, _ in bench_module("workloads").SYMMETRIC_POSITIVES)
 
 
 def assert_stacked_equals_per_seed(g, p):
@@ -361,19 +352,31 @@ class TestMoleculeExplanations:
 
 class TestNormalizePair:
     def test_arithmetic_example(self):
-        h0 = Heatmap("cam", 1, np.array([2.0, 0.0]))
-        h1 = Heatmap("cam", 0, np.array([1.0, 1.0]))
+        h0 = Heatmap("cam", 0, np.array([2.0, 0.0]))
+        h1 = Heatmap("cam", 1, np.array([1.0, 1.0]))
         n0, n1 = normalize_pair(h0, h1)
+        assert (n0.class_id, n1.class_id) == (0, 1)
         assert np.allclose(n0.values, [0.5, 0.0])
         assert np.allclose(n1.values, [0.25, 0.25])
         assert n0.normalized and n1.normalized
 
     def test_all_zero_pair_flagged(self):
-        h0 = Heatmap("cam", 1, np.zeros(3))
-        h1 = Heatmap("cam", 0, np.zeros(3))
+        h0 = Heatmap("cam", 0, np.zeros(3))
+        h1 = Heatmap("cam", 1, np.zeros(3))
         n0, n1 = normalize_pair(h0, h1)
         assert not n0.normalized and not n1.normalized
         assert np.all(n0.values == 0.0)
+
+    @pytest.mark.parametrize("method", METHODS + ("null",))
+    def test_explain_pair_is_in_class_order(self, method):
+        g, p = random_instance(seed=94, positive_features=True)
+        source = MoleculeExplanations(g, p)
+        pair = explain_pair(source, method)
+        assert [h.class_id for h in pair] == [0, 1]
+        raw = [source.heatmap(method, c).values for c in (0, 1)]
+        joint = raw[0].sum() + raw[1].sum()
+        for c in (0, 1):
+            assert np.allclose(pair[c].values * (joint or 1.0), raw[c], rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("seed", [91, 92, 93])
     def test_joint_sum_is_one(self, seed):

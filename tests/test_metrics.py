@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from conftest import manual_params, random_instance
 from gcnx.graphs import AttributedGraph, ElementLabel
 from gcnx.metrics import binarize, contrastivity, fidelity, metric_suite, sparsity
+from gcnx.model import forward
 
 from _oracles import reference_metric_suite
 
@@ -152,11 +153,19 @@ class TestMetricSuiteReference:
                 seed=1000 * seed + k, d_in=g.feature_dim, positive_features=True
             )
             data.append((gk, int(rng.integers(0, 2))))
+        # drop from the class-score difference its part along the molecules'
+        # mean pooled features: the differences then sum to zero over the
+        # dataset, so it holds molecules predicted as either class
+        mean_gap = np.mean([forward(gk, p).gap for gk, _ in data], axis=0)
+        w = p.classifier_weights
+        w[:, 1] -= (w[:, 1] - w[:, 0]) @ mean_gap / (mean_gap @ mean_gap) * mean_gap
         return p, data
 
     @pytest.mark.parametrize("seed", range(5))
     def test_equals_loop_level_reference(self, seed):
         p, data = self.desk_dataset(seed)
+        # both entries of masks[predicted] are checked against the reference
+        assert {int(np.argmax(forward(g, p).probabilities)) for g, _ in data} == {0, 1}
         for threshold in (0.01, 0.05):
             got = [r.to_dict() for r in metric_suite(p, data, self.METHODS, threshold)]
             want = reference_metric_suite(p, data, self.METHODS, threshold)
@@ -177,7 +186,6 @@ class TestMetricSuiteReference:
     def test_one_forward_per_molecule_plus_distinct_masks(self, monkeypatch):
         import gcnx.explainers as explainers
         import gcnx.metrics as metrics
-        from gcnx.model import forward
 
         calls = []
 

@@ -18,6 +18,7 @@ from gcnx.mining import (
     molecule_fragment,
     whole_molecule_fragment,
 )
+from conftest import bench_module
 from gcnx.smiles import parse_smiles
 
 from _oracles import (
@@ -40,22 +41,7 @@ def perhalo(halogen: str, carbons: int) -> str:
 
 TBU = "C(C)(C)C"
 # the symmetric positives of the benchmark's symmetric-mine corpus
-SYMMETRIC_POSITIVES = (
-    perhalo("F", 3),
-    perhalo("F", 4),
-    perhalo("F", 5),
-    perhalo("F", 6),
-    perhalo("Cl", 2),
-    perhalo("Cl", 3),
-    perhalo("Cl", 4),
-    "CCC" + TBU,
-    TBU + "CCC" + TBU,
-    TBU + "CC(" + TBU + ")C" + TBU,
-    "c1ccc2ccccc2c1",  # naphthalene
-    "c1ccc2cc3ccccc3cc2c1",  # anthracene
-    "c1cc2ccc3cccc4ccc(c1)c2c34",  # pyrene
-    "C1C2CC3CC1CC(C2)C3",  # adamantane
-)
+SYMMETRIC_POSITIVES = tuple(smiles for smiles, _ in bench_module("workloads").SYMMETRIC_POSITIVES)
 SYMMETRIC_FIXTURES = SYMMETRIC_POSITIVES + (
     "C12C3C4C1C5C2C3C45",  # cubane
     "C1CC2CCC3CCCC4CCC(C1)C2C34",  # fused rings

@@ -649,15 +649,32 @@ class TestCheckpoint:
         with pytest.raises(ConfigurationError):
             checkpoint_from_json(json.dumps(payload))
 
-    def test_non_finite_and_signed_zero_weights_round_trip_bit_exact(self):
+    def test_signed_zero_and_extreme_weights_round_trip_bit_exact(self):
         w = np.ones((D_IN, 3))
-        w[:2] = [[np.nan, np.inf, -np.inf], [-0.0, 5e-324, -1.5e308]]
-        p = manual_params([w], np.array([[1.0, np.nan], [-np.inf, 0.0], [2.0, -0.0]]))
+        w[:2] = [[-0.0, 5e-324, -1.5e308], [1.5e308, -5e-324, 0.0]]
+        p = manual_params([w], np.array([[1.0, -1e-300], [1e300, 0.0], [2.0, -0.0]]))
         cfg = TrainConfig(epochs=1, layer_sizes=(3,))
         text = checkpoint_to_json(p, cfg)
         params2, cfg2, _ = checkpoint_from_json(text)
         assert params2.flat.tobytes() == p.flat.tobytes()
         assert checkpoint_to_json(params2, cfg2) == text
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_format_2_weight_refused(self, value):
+        classifier = np.array([[1.0, 0.5], [-1.0, 0.0], [2.0, value]])
+        p = manual_params([np.ones((D_IN, 3))], classifier)
+        text = checkpoint_to_json(p, TrainConfig(epochs=1, layer_sizes=(3,)))
+        with pytest.raises(ConfigurationError, match="classifier weights holds a value that is not finite"):
+            checkpoint_from_json(text)
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_format_1_literal_refused(self, literal):
+        payload = json.loads(LEGACY_CHECKPOINT)
+        payload["layer_weights"][0][7] = "VALUE"
+        text = json.dumps(payload).replace('"VALUE"', literal)
+        assert f", {literal}," in text
+        with pytest.raises(ConfigurationError, match="layer 1 weights holds a value that is not finite"):
+            checkpoint_from_json(text)
 
     def test_weights_stored_as_little_endian_float64(self):
         p = init_params(3, (2,), seed=13)
