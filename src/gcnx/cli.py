@@ -6,12 +6,14 @@ configurations produce byte-identical outputs.
 
 explain, metrics and mine each make one pass over the molecules and build
 one explainers.MoleculeExplanations per molecule on the node features that
-parsing built. explain writes each molecule's records, and with --render
-its depictions, before it moves to the next. With --render it first lays
-out every molecule in one render.layout_molecules call, and then writes two
-files per molecule: render/<molecule_id>.svg, one sheet with a row per
-requested (method, layer) and a column per class, and render/<molecule_id>.dot,
-a cluster per (method, layer). Epochs or widths below 1, a learning rate
+parsing built; explain and metrics build the excitation weights W+ once
+for the checkpoint and hand them to every source. explain writes each
+molecule's records, and with --render its depictions, before it moves to
+the next. With --render it first lays out every molecule in one
+render.layout_molecules call, and then writes two files per molecule:
+render/<molecule_id>.svg, one sheet with a row per requested (method,
+layer) and a column per class, and render/<molecule_id>.dot, a cluster
+per (method, layer). Epochs or widths below 1, a learning rate
 that is not finite and positive, a --methods value with no name or with an
 unknown or repeated one, a --layers value with no integer or with a
 repeated one, a negative --seed, --top-k or --min-occurrence, a --tau or
@@ -39,7 +41,12 @@ import numpy as np
 
 import gcnx
 from gcnx.datasets import DataError, LabeledSet, load_csv, split, synth_motif_set
-from gcnx.explainers import METHODS, MoleculeExplanations, explain_pair
+from gcnx.explainers import (
+    METHODS,
+    MoleculeExplanations,
+    explain_pair,
+    positive_layer_weights,
+)
 from gcnx.metrics import metric_suite
 from gcnx.mining import mine
 from gcnx.model import (
@@ -267,12 +274,15 @@ def cmd_explain(args) -> int:
     if args.render:
         layouts = layout_molecules([m for _, m, _ in dataset.entries], seed=args.seed)
 
+    positive_weights = positive_layer_weights(params)
     n_records = n_render_files = 0
     with open(records_path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps({"header": artifact_header(config)}) + "\n")
         for index, (mol_id, molecule, _) in enumerate(dataset.entries):
             # every pair of the molecule shares this source's gradients and EB passes
-            source = MoleculeExplanations(molecule.graph, params)
+            source = MoleculeExplanations(
+                molecule.graph, params, positive_weights=positive_weights
+            )
             panels = []
             for method in methods:
                 for layer in layers if method == "grad_cam" else [None]:

@@ -21,6 +21,12 @@ passes carry their seeds as a leading axis through the layer loop.
 Final-layer Grad-CAM, and with it cam, needs neither: its score gradient
 is the classifier column spread over the nodes
 (model.final_layer_score_gradients), so it runs no reverse pass.
+
+The excitation pass is a modified backward pass: each layer multiplies
+by W+ = max(W, 0) and by the layer's input features, and forms no
+product that a later step divides out again. W+ depends on the model
+alone, so explain and metrics build it once per checkpoint
+(positive_layer_weights) and pass it to every molecule's source.
 """
 
 from __future__ import annotations
@@ -72,16 +78,39 @@ def _safe_ratio(numerator: np.ndarray, denominator: np.ndarray) -> np.ndarray:
     return out
 
 
+def positive_layer_weights(params: ModelParams) -> list[np.ndarray]:
+    """W+ = max(W^l, 0) of every layer l = 1..L, the weights excitation
+    backprop reads. It depends on the parameters alone, so a stage builds
+    it once per model and hands it to every molecule's
+    MoleculeExplanations; it is a copy, and goes stale if the weights
+    change after it is built."""
+    return [np.maximum(w, 0.0) for w in params.layer_weights]
+
+
 def excitation_backprop_trace(
-    trace: ForwardTrace, graph: AttributedGraph, params: ModelParams
+    trace: ForwardTrace,
+    graph: AttributedGraph,
+    params: ModelParams,
+    positive_weights: list[np.ndarray] | None = None,
 ) -> np.ndarray:
     """Excitation backprop (Zhang et al., arXiv 1608.00507) of every class,
     with the classifier as it is and negated, as one pass.
+
+    It runs as a modified backward pass: at layer l, with z = (V F^{l-1}) W+,
+    the mass P on F^l moves to F^{l-1} as F^{l-1} * (V^T ((P / z) W+^T)),
+    the perceptron and local-averaging rules in one step. The averaged
+    features V F^{l-1} that the perceptron rule multiplies by and the
+    averaging rule divides by cancel, so neither product is formed; where
+    they are 0, F^{l-1} is 0 on every contributing node, as V, F and the
+    input features are nonnegative. positive_weights is
+    positive_layer_weights(params), built here if not given.
 
     The 2C seeds, every classifier column and then every negated column,
     ride a leading axis through the layer loop. Returns the per-node input
     mass, shape (2, C, N) indexed [sign, class, node] with sign 1 the
     negated classifier; each seed's values equal a pass run on it alone."""
+    if positive_weights is None:
+        positive_weights = positive_layer_weights(params)
     n = trace.n_nodes
     v = graph.norm_propagation
     columns = params.classifier_weights.T
@@ -92,12 +121,15 @@ def excitation_backprop_trace(
     p_act = trace.activations[-1] * _safe_ratio(p_gap, n * trace.gap)[:, None, :]
 
     for l in range(trace.n_layers - 1, -1, -1):
-        w_pos = np.maximum(params.layer_weights[l], 0.0)
-        prop = trace.propagated[l]
-        # perceptron rule: split each output unit's mass over same-node inputs
-        p_prop = prop * (_safe_ratio(p_act, prop @ w_pos) @ w_pos.T)
-        # averaging rule: split each averaged unit's mass over contributing nodes
-        p_act = trace.activations[l] * (v.T @ _safe_ratio(p_prop, prop))
+        w_pos = positive_weights[l]
+        z = trace.propagated[l] @ w_pos
+        # with nonnegative inputs, where z is 0 so is the layer's output
+        # relu(propagated[l] @ W), and with it p_act: 0 / 1 keeps the
+        # 0/0 -> 0 convention, bit for bit
+        z[z == 0.0] = 1.0
+        # one product per seed, so each seed's row keeps a lone pass's bits
+        back = (p_act / z) @ w_pos.T
+        p_act = trace.activations[l] * (v.T @ back)
 
     values = p_act.sum(axis=2) / p_act.shape[2]
     return values.reshape(2, params.n_classes, n)
@@ -116,10 +148,12 @@ class MoleculeExplanations:
     score gradients of all classes at every layer come from one stacked
     backward pass (model.class_score_gradients), which gradient, grad_cam
     below layer L and the lower layers of grad_cam_avg read; it runs only
-    if one of them is asked for. The excitation masses of every class and classifier sign
-    come from one stacked pass (excitation_backprop_trace), which eb and ceb
-    both read; it runs only if one of them is asked for. Everything is
-    computed on first use.
+    if one of them is asked for. The excitation masses of every class and
+    classifier sign come from one stacked pass (excitation_backprop_trace),
+    which eb and ceb both read; it runs only if one of them is asked for,
+    on positive_weights, the model's positive_layer_weights, which a stage
+    builds once for all its molecules (built per pass if None). Everything
+    is computed on first use.
     """
 
     def __init__(
@@ -127,10 +161,12 @@ class MoleculeExplanations:
         graph: AttributedGraph,
         params: ModelParams,
         trace: ForwardTrace | None = None,
+        positive_weights: list[np.ndarray] | None = None,
     ):
         self.graph = graph
         self.params = params
         self.trace = forward(graph, params) if trace is None else trace
+        self.positive_weights = positive_weights
         self._gradients: list[np.ndarray] | None = None
         self._final_gradients: np.ndarray | None = None
         self._excitation: np.ndarray | None = None
@@ -159,7 +195,9 @@ class MoleculeExplanations:
         """Excitation input masses of class_id: row 0 with the classifier as
         it is, row 1 with it negated."""
         if self._excitation is None:
-            self._excitation = excitation_backprop_trace(self.trace, self.graph, self.params)
+            self._excitation = excitation_backprop_trace(
+                self.trace, self.graph, self.params, self.positive_weights
+            )
         return self._excitation[:, class_id]
 
     def heatmap(self, method: str, class_id: int, layer: int | None = None) -> Heatmap:

@@ -7,10 +7,11 @@ union; fidelity is the accuracy drop after occluding salient nodes,
 macro-averaged over true classes.
 
 metric_suite computes every measure in one loop over the molecules, with
-one forward and one explainers.MoleculeExplanations per molecule. Its pairs
-are in class order, so fidelity occludes masks[predicted] of the pair that
+one forward and one explainers.MoleculeExplanations per molecule, and at
+most one stacked forward over the molecule's occlusions. Its pairs are in
+class order, so fidelity occludes masks[predicted] of the pair that
 contrastivity and sparsity read; methods whose masks coincide share one
-occlusion forward. fidelity is metric_suite's fidelity of one method.
+occluded copy. fidelity is metric_suite's fidelity of one method.
 """
 
 from __future__ import annotations
@@ -19,7 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gcnx.explainers import Heatmap, MoleculeExplanations, explain_pair
+from gcnx.explainers import (
+    Heatmap,
+    MoleculeExplanations,
+    explain_pair,
+    positive_layer_weights,
+)
 from gcnx.model import ModelParams, forward, occlude
 
 DEFAULT_THRESHOLD = 0.01
@@ -106,7 +112,13 @@ def metric_suite(
     """Per-method lists in dataset order from one loop over the molecules;
     population standard deviations; degenerate (empty-union) molecules are
     excluded from the contrastivity mean but still count toward sparsity.
-    Fidelity reads the same masks."""
+    Fidelity reads the same masks.
+
+    W+ for excitation backprop is built once, for all molecules. Per
+    molecule, each distinct non-empty predicted-class mask is occluded
+    once (model.occlude), and one forward runs all K occluded feature
+    matrices as a leading axis; its probabilities can differ from K lone
+    forwards in the last bit."""
     methods = list(methods)
     if not dataset:
         raise ValueError("empty dataset")
@@ -114,10 +126,11 @@ def metric_suite(
     sparsities = {method: [] for method in methods}
     n_degenerate = dict.fromkeys(methods, 0)
     runs = {method: {} for method in methods}  # label -> [(correct before, after)]
+    positive_weights = positive_layer_weights(params)
     for graph, label in dataset:
-        source = MoleculeExplanations(graph, params)
+        source = MoleculeExplanations(graph, params, positive_weights=positive_weights)
         predicted = int(np.argmax(source.trace.probabilities))
-        after_by_mask = {}
+        distinct, key_of = {}, {}  # mask bytes -> mask; method -> its mask's bytes
         for method in methods:
             m0, m1 = masks = [binarize(h, threshold) for h in explain_pair(source, method)]
             if not (m0.any() or m1.any()):
@@ -125,15 +138,17 @@ def metric_suite(
             else:
                 contrastivities[method].append(contrastivity(m0, m1))
             sparsities[method].append(sparsity(m0, m1, graph.n_nodes))
-            mask = masks[predicted]
-            key = mask.tobytes()
-            if key not in after_by_mask:
-                after_by_mask[key] = predicted
-                if mask.any():
-                    occluded_trace = forward(occlude(graph, mask), params)
-                    after_by_mask[key] = int(np.argmax(occluded_trace.probabilities))
+            key_of[method] = key = masks[predicted].tobytes()
+            distinct.setdefault(key, masks[predicted])
+        after = dict.fromkeys(distinct, predicted)
+        occluded = [key for key, mask in distinct.items() if mask.any()]
+        if occluded:
+            features = np.stack([occlude(graph, distinct[key]).node_features for key in occluded])
+            probabilities = forward(graph, params, features).probabilities
+            after.update(zip(occluded, np.argmax(probabilities, axis=-1).tolist()))
+        for method in methods:
             runs[method].setdefault(label, []).append(
-                (predicted == label, after_by_mask[key] == label)
+                (predicted == label, after[key_of[method]] == label)
             )
     reports = []
     for method in methods:

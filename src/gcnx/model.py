@@ -173,7 +173,7 @@ class ForwardTrace:
 
     activations[l] is F^l with F^0 = X (N x d_l). propagated[l] is V @ F^l,
     the locally averaged features entering layer l+1's perceptron, indexed
-    0..L-1.
+    0..L-1. A stacked forward gives every array a leading axis of length K.
     """
 
     activations: list[np.ndarray]
@@ -188,30 +188,47 @@ class ForwardTrace:
 
     @property
     def n_nodes(self) -> int:
-        return self.activations[0].shape[0]
+        return self.activations[0].shape[-2]
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:
-    shifted = scores - scores.max()
+    """Softmax over the last axis, so each row of a stacked (K, C) score
+    array is normalized on its own; a 1-D score vector is one row."""
+    shifted = scores - scores.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
-    return exp / exp.sum()
+    return exp / exp.sum(axis=-1, keepdims=True)
 
 
-def forward(graph: AttributedGraph, params: ModelParams) -> ForwardTrace:
-    if graph.feature_dim != params.input_dim:
+def forward(
+    graph: AttributedGraph, params: ModelParams, features: np.ndarray | None = None
+) -> ForwardTrace:
+    """The network on graph's node features, or on features in their place.
+
+    features may stack K feature matrices of the graph as a leading axis,
+    shape (K, N, d_0), such as K occlusions of one molecule. Every array of
+    the trace then gains that axis, and row k is the forward of
+    graph.with_features(features[k]) up to the last bits: each layer's
+    K*N rows run as one 2-D product with W^l, where K lone passes run K
+    products of N rows. A 2-D input runs one product of N rows per layer."""
+    x = graph.node_features if features is None else features
+    if x.shape[-1] != params.input_dim:
         raise ConfigurationError(
-            f"graph feature width {graph.feature_dim} != model input {params.input_dim}"
+            f"graph feature width {x.shape[-1]} != model input {params.input_dim}"
         )
     v = graph.norm_propagation
-    activations = [graph.node_features]
+    activations = [x]
     propagated = []
-    current = graph.node_features
+    current = x
     for w in params.layer_weights:
         prop = v @ current
-        current = np.maximum(prop @ w, 0.0)
+        if prop.ndim == 2:
+            pre = prop @ w
+        else:  # a stack of K matrices: its K*N rows in one product
+            pre = (prop.reshape(-1, w.shape[0]) @ w).reshape(*prop.shape[:-1], w.shape[1])
+        current = np.maximum(pre, 0.0)
         propagated.append(prop)
         activations.append(current)
-    gap = current.mean(axis=0)
+    gap = current.mean(axis=-2)
     scores = gap @ params.classifier_weights
     return ForwardTrace(
         activations=activations,

@@ -296,8 +296,8 @@ def straight_line_eb(x, v, w, wc, target_class):
 
 
 # ----------------------------------------- excitation backprop, seed by seed
-# The per-seed excitation pass as gcnx ran it before the stacked pass: one
-# call per (class, classifier sign), keeping every intermediate mass.
+# The per-seed excitation pass: one call per (class, classifier sign),
+# keeping every intermediate mass.
 def _safe_ratio(numerator: np.ndarray, denominator: np.ndarray) -> np.ndarray:
     """Elementwise numerator/denominator with the 0/0 -> 0 convention."""
     out = np.zeros_like(numerator, dtype=np.float64)
@@ -344,19 +344,9 @@ def _perceptron_terms(
     return terms
 
 
-def excitation_backprop_trace(
-    trace: ForwardTrace,
-    graph: AttributedGraph,
-    params: ModelParams,
-    class_id: int,
-    negate_classifier: bool = False,
-    *,
-    perceptron_terms: list[tuple[np.ndarray, np.ndarray]] | None = None,
+def _per_seed_pass(
+    trace, graph, params, class_id, negate_classifier, perceptron_terms, round_trip
 ) -> ExcitationTrace:
-    """Full excitation backprop with every intermediate mass retained.
-
-    perceptron_terms, if given, must be _perceptron_terms(trace, params);
-    it lets the passes over one molecule share those products."""
     n = trace.n_nodes
     v = graph.norm_propagation
     if perceptron_terms is None:
@@ -376,11 +366,13 @@ def excitation_backprop_trace(
         w_pos, z = perceptron_terms[l]
         prop = trace.propagated[l]
         # perceptron rule: split each output unit's mass over same-node inputs
-        p_prop = prop * (_safe_ratio(p_activations[-1], z) @ w_pos.T)
+        back = _safe_ratio(p_activations[-1], z) @ w_pos.T
+        p_prop = prop * back
         p_propagated.append(p_prop)
         # averaging rule: split each averaged unit's mass over contributing nodes
-        previous = trace.activations[l]
-        p_activations.append(previous * (v.T @ _safe_ratio(p_prop, prop)))
+        if round_trip:
+            back = _safe_ratio(p_prop, prop)
+        p_activations.append(trace.activations[l] * (v.T @ back))
 
     p_activations.reverse()
     p_propagated.reverse()
@@ -388,6 +380,42 @@ def excitation_backprop_trace(
     return ExcitationTrace(
         p_gap=p_gap, p_activations=p_activations, p_propagated=p_propagated
     )
+
+
+def excitation_backprop_trace(
+    trace: ForwardTrace,
+    graph: AttributedGraph,
+    params: ModelParams,
+    class_id: int,
+    negate_classifier: bool = False,
+    *,
+    perceptron_terms: list[tuple[np.ndarray, np.ndarray]] | None = None,
+) -> ExcitationTrace:
+    """Full excitation backprop with every intermediate mass retained.
+
+    The averaging rule reads the perceptron rule's back-projected ratio
+    (P / z) @ W+^T directly; p_propagated, that ratio times V @ F, is
+    recorded for the conservation checks only. perceptron_terms, if given,
+    must be _perceptron_terms(trace, params); it lets the passes over one
+    molecule share those products."""
+    return _per_seed_pass(
+        trace, graph, params, class_id, negate_classifier, perceptron_terms, False
+    )
+
+
+def round_trip_excitation_backprop_trace(
+    trace: ForwardTrace,
+    graph: AttributedGraph,
+    params: ModelParams,
+    class_id: int,
+    negate_classifier: bool = False,
+) -> ExcitationTrace:
+    """The same pass with the two rules composed literally, a round trip
+    through V @ F: the perceptron rule forms p_propagated = (V @ F) * back,
+    and the averaging rule divides V @ F out again, 0/0 -> 0. In real
+    arithmetic the two passes agree; in floats they differ in the last
+    bits."""
+    return _per_seed_pass(trace, graph, params, class_id, negate_classifier, None, True)
 
 
 # --------------------------------------------------------------- AUC by pairs

@@ -758,38 +758,88 @@ class TestParsing:
         assert "classes" in capsys.readouterr().err
 
 
+class TestExcitationWeights:
+    @pytest.mark.parametrize("command", ["explain", "metrics"])
+    def test_built_once_per_run(self, trained, tmp_path, monkeypatch, command):
+        import gcnx.cli
+        import gcnx.explainers
+        import gcnx.metrics
+
+        builds, passes = [], []
+        real_build = gcnx.explainers.positive_layer_weights
+        real_pass = gcnx.explainers.excitation_backprop_trace
+
+        def counting_build(params):
+            builds.append(real_build(params))
+            return builds[-1]
+
+        def counting_pass(trace, graph, params, positive_weights=None):
+            passes.append(positive_weights)
+            return real_pass(trace, graph, params, positive_weights)
+
+        for module in (gcnx.cli, gcnx.explainers, gcnx.metrics):
+            monkeypatch.setattr(module, "positive_layer_weights", counting_build)
+        monkeypatch.setattr(gcnx.explainers, "excitation_backprop_trace", counting_pass)
+        argv = [
+            command,
+            "--data", "synth:NO:16",
+            "--checkpoint", str(trained / "checkpoint.json"),
+            "--methods", "eb,ceb,grad_cam",
+            "--seed", "3",
+            "--out-dir", str(tmp_path),
+        ]
+        assert main(argv) == 0
+        assert len(builds) == 1
+        # one EB pass per molecule, each on the one build
+        assert len(passes) == 16
+        assert all(weights is builds[0] for weights in passes)
+
+
+def blas_thread_outputs(tmp_path, layers, epochs, train_data):
+    """heatmaps.jsonl and metrics.json bytes of explain and metrics on
+    synth:NO:8, run under OpenBLAS on 1 and on 2 threads."""
+    checkpoint_dir = tmp_path / "train"
+    code = main(
+        [
+            "train",
+            "--data", train_data,
+            "--epochs", epochs,
+            "--layers", layers,
+            "--seed", "3",
+            "--out-dir", str(checkpoint_dir),
+        ]
+    )
+    assert code == 0
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src_pythonpath())
+        out = tmp_path / f"blas{threads}"
+        for command in ("explain", "metrics"):
+            subprocess.run(
+                [
+                    sys.executable, "-m", "gcnx", command,
+                    "--data", "synth:NO:8",
+                    "--checkpoint", str(checkpoint_dir / "checkpoint.json"),
+                    "--seed", "3",
+                    "--out-dir", str(out),
+                ],
+                env=env,
+                check=True,
+                capture_output=True,
+            )
+        outputs.append(
+            ((out / "heatmaps.jsonl").read_bytes(), (out / "metrics.json").read_bytes())
+        )
+    return outputs
+
+
 class TestBlasThreads:
     def test_outputs_do_not_depend_on_blas_thread_count(self, tmp_path):
-        checkpoint_dir = tmp_path / "train"
-        code = main(
-            [
-                "train",
-                "--data", "synth:NO:40",
-                "--epochs", "3",
-                "--layers", "16,32,64",
-                "--seed", "3",
-                "--out-dir", str(checkpoint_dir),
-            ]
-        )
-        assert code == 0
-        outputs = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src_pythonpath())
-            out = tmp_path / f"blas{threads}"
-            for command in ("explain", "metrics"):
-                subprocess.run(
-                    [
-                        sys.executable, "-m", "gcnx", command,
-                        "--data", "synth:NO:8",
-                        "--checkpoint", str(checkpoint_dir / "checkpoint.json"),
-                        "--seed", "3",
-                        "--out-dir", str(out),
-                    ],
-                    env=env,
-                    check=True,
-                    capture_output=True,
-                )
-            outputs.append(
-                ((out / "heatmaps.jsonl").read_bytes(), (out / "metrics.json").read_bytes())
-            )
+        outputs = blas_thread_outputs(tmp_path, "16,32,64", "3", "synth:NO:40")
+        assert outputs[0] == outputs[1]
+
+    def test_paper_width_outputs_do_not_depend_on_blas_thread_count(self, tmp_path):
+        # the stacked occlusion forward's K*N-row products are the largest
+        # that metrics runs
+        outputs = blas_thread_outputs(tmp_path, "128,256,512", "1", "synth:NO:40")
         assert outputs[0] == outputs[1]

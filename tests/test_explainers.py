@@ -15,6 +15,7 @@ from gcnx.explainers import (
     excitation_backprop_trace,
     explain_pair,
     normalize_pair,
+    positive_layer_weights,
 )
 from gcnx.graphs import AttributedGraph
 from gcnx.model import class_score_gradients, forward, init_params, score_gradients
@@ -22,6 +23,7 @@ from gcnx.smiles import parse_smiles
 
 from _oracles import central_difference, straight_line_eb, tail_class_score
 from _oracles import excitation_backprop_trace as per_seed_eb
+from _oracles import round_trip_excitation_backprop_trace
 
 # The symmetric positives of the benchmark's symmetric-mine corpus.
 SYMMETRIC_POSITIVES = tuple(smiles for smiles, _ in bench_module("workloads").SYMMETRIC_POSITIVES)
@@ -276,6 +278,43 @@ class TestStackedExcitation:
     def test_single_node_graph(self):
         g = single_node_graph([1.0, 0.5, 2.0])
         assert_stacked_equals_per_seed(g, init_params(3, (16, 32, 64), seed=6))
+
+
+def assert_near_round_trip(g, p):
+    """Every seed of the pass is within 1e-14, relative to the seed's
+    largest mass, of the pass that forms (V F) * back and divides V F out
+    again; with nonnegative inputs the two agree in real arithmetic."""
+    t = forward(g, p)
+    stacked = excitation_backprop_trace(t, g, p, positive_layer_weights(p))
+    for sign in (0, 1):
+        for c in range(p.n_classes):
+            expected = round_trip_excitation_backprop_trace(
+                t, g, p, c, negate_classifier=bool(sign)
+            ).heatmap_values
+            scale = np.max(np.abs(expected))
+            assert np.max(np.abs(stacked[sign, c] - expected)) <= 1e-14 * scale
+
+
+class TestRoundTripFree:
+    @pytest.mark.parametrize("widths", [(16, 32, 64), (128, 256, 512)])
+    @pytest.mark.parametrize("smiles", SYMMETRIC_POSITIVES)
+    def test_symmetric_molecules(self, smiles, widths):
+        g = parse_smiles(smiles).graph
+        assert_near_round_trip(g, init_params(g.feature_dim, widths, seed=5))
+
+    @pytest.mark.parametrize("widths", [(16, 32, 64), (128, 256, 512)])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_instances(self, widths, seed):
+        g, p = random_instance(seed=360 + seed, widths=widths, positive_features=True)
+        assert_near_round_trip(g, p)
+
+    def test_given_weights_equal_built_ones(self):
+        g, p = random_instance(seed=370, widths=(16, 32, 64), positive_features=True)
+        t = forward(g, p)
+        given = excitation_backprop_trace(t, g, p, positive_layer_weights(p))
+        assert np.array_equal(given, excitation_backprop_trace(t, g, p))
+        source = MoleculeExplanations(g, p, t, positive_weights=positive_layer_weights(p))
+        assert np.array_equal(source.heatmap("eb", 1).values, given[0, 1])
 
 
 class TestMoleculeExplanations:

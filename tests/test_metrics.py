@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 
 from conftest import manual_params, random_instance
 from gcnx.graphs import AttributedGraph, ElementLabel
+from gcnx.explainers import MoleculeExplanations, explain_pair
 from gcnx.metrics import binarize, contrastivity, fidelity, metric_suite, sparsity
-from gcnx.model import forward
+from gcnx.model import forward, occlude
 
 from _oracles import reference_metric_suite
 
@@ -184,25 +185,48 @@ class TestMetricSuiteReference:
             assert fidelity(p, data, report.method) == report.fidelity
 
     def test_one_forward_per_molecule_plus_distinct_masks(self, monkeypatch):
+        """One plain forward per molecule, at most one stacked forward per
+        molecule, and one occlude call per distinct non-empty mask of the
+        predicted class: several masks with every method, one that gradient
+        and eb share (both mark every atom on this fixture), none with null."""
         import gcnx.explainers as explainers
         import gcnx.metrics as metrics
 
-        calls = []
+        forwards, occlusions = [], []
 
-        def counting_forward(graph, params):
-            calls.append(graph)
-            return forward(graph, params)
+        def counting_forward(graph, params, features=None):
+            forwards.append((graph, features))
+            return forward(graph, params, features)
 
-        monkeypatch.setattr(metrics, "forward", counting_forward)
-        monkeypatch.setattr(explainers, "forward", counting_forward)
+        def counting_occlude(graph, mask):
+            occlusions.append((graph, np.asarray(mask, dtype=bool).tobytes()))
+            return occlude(graph, mask)
+
         p, data = self.desk_dataset(8, n_molecules=4)
-        reference_graphs = {id(g) for g, _ in data}
-        metric_suite(p, data, self.METHODS)
-        plain = sum(id(g) in reference_graphs for g in calls)
-        occluded = len(calls) - plain
-        assert plain == len(data)
-        assert occluded <= len(data) * (len(self.METHODS) - 1)  # null never occludes
-
+        n_masks = set()
+        for methods in (self.METHODS, ["gradient", "eb"], ["null"]):
+            expected_masks = []
+            for g, _ in data:
+                source = MoleculeExplanations(g, p)
+                predicted = int(np.argmax(source.trace.probabilities))
+                masks = {binarize(explain_pair(source, m)[predicted]).tobytes() for m in methods}
+                expected_masks.append(sorted(k for k in masks if any(np.frombuffer(k, dtype=bool))))
+            forwards.clear()
+            occlusions.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(metrics, "forward", counting_forward)
+                patch.setattr(explainers, "forward", counting_forward)
+                patch.setattr(metrics, "occlude", counting_occlude)
+                metric_suite(p, data, methods)
+            assert [g for g, features in forwards if features is None] == [g for g, _ in data]
+            for (g, _), keys in zip(data, expected_masks):
+                n_masks.add(min(len(keys), 2))
+                assert sorted(k for og, k in occlusions if og is g) == keys
+                stacked = [f for sg, f in forwards if sg is g and f is not None]
+                assert len(stacked) == (1 if keys else 0)
+                if keys:
+                    assert stacked[0].shape == (len(keys), g.n_nodes, g.feature_dim)
+        assert n_masks == {0, 1, 2}
 
 class TestBinarize:
     def test_strict_threshold(self):

@@ -291,6 +291,55 @@ class TestOcclusion:
         assert np.array_equal(out.adjacency, g.adjacency)
 
 
+def assert_stacked_rows_match_lone_forwards(g, p, masks):
+    """One forward over the occluded feature matrices as a leading axis:
+    each row's probabilities are within 1e-15 of the lone forward of that
+    occlusion, with the same argmax."""
+    occluded = [occlude(g, m) for m in masks]
+    stacked = forward(g, p, np.stack([o.node_features for o in occluded]))
+    assert stacked.probabilities.shape == (len(masks), p.n_classes)
+    assert stacked.gap.shape == (len(masks), p.layer_sizes[-1])
+    for row, o in zip(stacked.probabilities, occluded):
+        lone = forward(o, p).probabilities
+        assert np.max(np.abs(row - lone)) <= 1e-15
+        assert np.argmax(row) == np.argmax(lone)
+
+
+class TestStackedForward:
+    @pytest.mark.parametrize("widths", [(16, 32, 64), (128, 256, 512)])
+    @pytest.mark.parametrize("n_masks", [1, 2, 5])
+    def test_rows_match_lone_occlusion_forwards(self, widths, n_masks):
+        g, p = random_instance(seed=60 + n_masks, widths=widths, positive_features=True)
+        rng = np.random.default_rng(n_masks)
+        masks = [rng.random(g.n_nodes) < 0.4 for _ in range(n_masks)]
+        masks[0][0] = True  # a mask that occludes something
+        assert_stacked_rows_match_lone_forwards(g, p, masks)
+
+    @pytest.mark.parametrize("masks", [[[True]], [[True], [False]]])
+    def test_one_atom_molecule(self, masks):
+        g = single_node_graph([1.0, 0.5, 2.0])
+        assert_stacked_rows_match_lone_forwards(g, init_params(3, (16, 32, 64), seed=6), masks)
+
+    @pytest.mark.parametrize("widths", [(16, 32, 64), (128, 256, 512)])
+    def test_one_molecule_runs_the_unstacked_products(self, widths):
+        """A 2-D input, given or the graph's own, takes the products of a
+        forward written for one molecule, bit for bit."""
+        g, p = random_instance(seed=64, widths=widths)
+        current = g.node_features
+        for w in p.layer_weights:
+            current = np.maximum((g.norm_propagation @ current) @ w, 0.0)
+        scores = current.mean(axis=0) @ p.classifier_weights
+        exp = np.exp(scores - scores.max())
+        for trace in (forward(g, p), forward(g, p, g.node_features.copy())):
+            assert np.array_equal(trace.activations[-1], current)
+            assert np.array_equal(trace.probabilities, exp / exp.sum())
+
+    def test_feature_width_checked(self):
+        g, p = random_instance(seed=65, d_in=4)
+        with pytest.raises(ConfigurationError):
+            forward(g, p, np.zeros((2, g.n_nodes, 5)))
+
+
 class TestParams:
     def test_weights_are_views_into_flat(self):
         p = init_params(5, (3, 4), n_classes=3, seed=2)
