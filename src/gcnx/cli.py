@@ -6,10 +6,18 @@ configurations produce byte-identical outputs.
 
 explain, metrics and mine each make one pass over the molecules and build
 one explainers.MoleculeExplanations per molecule on the node features that
-parsing built; explain and metrics build the excitation weights W+ once
-for the checkpoint and hand them to every source. explain writes each
-molecule's records, and with --render its depictions, before it moves to
-the next. With --render it first lays out every molecule in one
+parsing built; explain, and metrics when it computes eb or ceb, build the
+excitation weights W+ once for the checkpoint and hand them to every
+source. explain writes each molecule's records, and with --render its
+depictions, before it moves to the next. It also writes the exact float64 values of every pair it
+computes, and each molecule's predicted class, to a heatmap store in its
+--out-dir (heatmap_store.f64 and its index heatmap_store.json, see
+explainers.HeatmapStoreWriter). metrics and mine, run with the same
+--out-dir, score those values and build no MoleculeExplanations when the
+store's key matches their checkpoint and molecules and it holds their
+methods; otherwise they compute the heatmaps as above. Either way their
+artifacts have the same bytes, and their stdout says which it was and
+why. With --render explain first lays out every molecule in one
 render.layout_molecules call, and then writes two files per molecule:
 render/<molecule_id>.svg, one sheet with a row per requested (method,
 layer) and a column per class, and render/<molecule_id>.dot, a cluster
@@ -18,11 +26,12 @@ that is not finite and positive, a --methods value with no name or with an
 unknown or repeated one, a --layers value with no integer or with a
 repeated one, a negative --seed, --top-k or --min-occurrence, a --tau or
 --fidelity-threshold that is not finite, a synth: motif that does not
-parse, a checkpoint that is not a JSON object, whose arrays, shapes or
-class count disagree, whose class count is not 2, whose weights are not
-all finite, whose featurization or input width is not the fixed one or
-whose config cannot be read and, with --render, a molecule id that is
-empty or not a single file-name component are usage errors (exit 2),
+parse, a synth: corpus of 0 molecules, a checkpoint that is not a JSON
+object, whose arrays, shapes or class count disagree, whose class count
+is not 2, whose weights are not all finite, whose featurization or input
+width is not the fixed one or whose config cannot be read and, with
+--render, a molecule id that is empty or not a single file-name
+component are usage errors (exit 2),
 raised before any artifact is written. Training that diverges to a
 non-finite loss exits 1 and writes no checkpoint.
 """
@@ -43,8 +52,14 @@ import gcnx
 from gcnx.datasets import DataError, LabeledSet, load_csv, split, synth_motif_set
 from gcnx.explainers import (
     METHODS,
+    STORE_INDEX,
+    HeatmapStoreWriter,
     MoleculeExplanations,
+    StoredHeatmaps,
+    StoreMismatch,
     explain_pair,
+    load_heatmap_store,
+    molecule_pairs,
     positive_layer_weights,
 )
 from gcnx.metrics import metric_suite
@@ -54,7 +69,7 @@ from gcnx.model import (
     TrainConfig,
     TrainingError,
     evaluate,
-    forward,
+    forward,  # noqa: F401  (unused here; bench/selftest.py checks the tracer wraps this binding)
     load_checkpoint,
     save_checkpoint,
     train,
@@ -274,27 +289,36 @@ def cmd_explain(args) -> int:
     if args.render:
         layouts = layout_molecules([m for _, m, _ in dataset.entries], seed=args.seed)
 
+    requested = [
+        (method, layer)
+        for method in methods
+        for layer in (layers if method == "grad_cam" else [None])
+    ]
+    labels = [method + (f"-l{layer}" if layer is not None else "") for method, layer in requested]
     positive_weights = positive_layer_weights(params)
     n_records = n_render_files = 0
-    with open(records_path, "w", encoding="utf-8") as fh:
+    with (
+        open(records_path, "w", encoding="utf-8") as fh,
+        HeatmapStoreWriter(args.out_dir, params, dataset.entries, requested) as store,
+    ):
         fh.write(json.dumps({"header": artifact_header(config)}) + "\n")
         for index, (mol_id, molecule, _) in enumerate(dataset.entries):
             # every pair of the molecule shares this source's gradients and EB passes
             source = MoleculeExplanations(
                 molecule.graph, params, positive_weights=positive_weights
             )
-            panels = []
-            for method in methods:
-                for layer in layers if method == "grad_cam" else [None]:
-                    pair = explain_pair(source, method, layer)
-                    for heat in pair:
-                        record = heat.to_record(mol_id, molecule.source_string)
-                        fh.write(json.dumps(record) + "\n")
-                    n_records += 2
-                    if args.render:
-                        label = method + (f"-l{layer}" if layer is not None else "")
-                        panels.append((label, {h.class_id: h.values for h in pair}))
+            pairs = [explain_pair(source, method, layer) for method, layer in requested]
+            for pair in pairs:
+                for heat in pair:
+                    record = heat.to_record(mol_id, molecule.source_string)
+                    fh.write(json.dumps(record) + "\n")
+            n_records += 2 * len(pairs)
+            store.add(int(np.argmax(source.trace.probabilities)), pairs)
             if args.render:
+                panels = [
+                    (label, {h.class_id: h.values for h in pair})
+                    for label, pair in zip(labels, pairs)
+                ]
                 stem = os.path.join(render_dir, mol_id)
                 with open(stem + ".svg", "w", encoding="utf-8") as out:
                     out.write(molecule_svg(molecule, panels, layouts[index], title=mol_id))
@@ -310,13 +334,29 @@ def cmd_explain(args) -> int:
 # -------------------------------------------------------------- metrics
 
 
+def _stored_heatmaps(
+    out_dir: str, params, dataset: LabeledSet, methods
+) -> tuple[StoredHeatmaps | None, str]:
+    """explain's heatmap store in out_dir when it serves this model,
+    these molecules and methods, else None; and the stdout line that says
+    which heatmaps the stage scored, and why it computed them."""
+    try:
+        stored = load_heatmap_store(out_dir, params, dataset.entries, methods)
+    except StoreMismatch as err:
+        return None, f"computed the heatmaps of {len(dataset)} molecules: {err}"
+    index_path = os.path.join(out_dir, STORE_INDEX)
+    return stored, f"scored the stored heatmaps of {len(dataset)} molecules from {index_path}"
+
+
 def cmd_metrics(args) -> int:
     config = effective_config(args, "metrics")
     methods = _parse_methods(args.methods)
     params, _, _ = load_checkpoint(args.checkpoint)
     dataset = load_data(args)
-    data = dataset.graph_pairs()
-    reports = metric_suite(params, data, methods, threshold=args.fidelity_threshold)
+    stored, source_line = _stored_heatmaps(args.out_dir, params, dataset, methods)
+    reports = metric_suite(
+        params, dataset.graph_pairs(), methods, threshold=args.fidelity_threshold, stored=stored
+    )
 
     os.makedirs(args.out_dir, exist_ok=True)
     json_path = os.path.join(args.out_dir, "metrics.json")
@@ -341,6 +381,7 @@ def cmd_metrics(args) -> int:
                     f"{report.sparsity_mean:.2f}±{report.sparsity_std:.2f}",
                 ]
             )
+    print(source_line)
     print(f"wrote {csv_path} and {json_path}")
     return EXIT_OK
 
@@ -352,15 +393,15 @@ def cmd_mine(args) -> int:
     config = effective_config(args, "mine")
     params, _, _ = load_checkpoint(args.checkpoint)
     dataset = load_data(args)
+    stored, source_line = _stored_heatmaps(args.out_dir, params, dataset, ["grad_cam"])
 
     predictions = {}
     heatmaps = {}
-    for mol_id, molecule, _ in dataset.entries:
-        trace = forward(molecule.graph, params)
-        predicted = int(np.argmax(trace.probabilities))
-        source = MoleculeExplanations(molecule.graph, params, trace)
+    graphs = [molecule.graph for _, molecule, _ in dataset.entries]
+    sources = molecule_pairs(params, graphs, ["grad_cam"], stored)
+    for (mol_id, _, _), (predicted, (pair,)) in zip(dataset.entries, sources):
         predictions[mol_id] = predicted
-        heatmaps[mol_id] = explain_pair(source, "grad_cam")[predicted].values
+        heatmaps[mol_id] = pair[predicted]
 
     counts: dict[str, int] = {}
     records = mine(
@@ -409,6 +450,7 @@ def cmd_mine(args) -> int:
             )
         if average_r_p is not None:
             writer.writerow(["", "average_r_p", "", "", "", "", "", f"{average_r_p:.4f}"])
+    print(source_line)
     print(
         f"wrote {csv_path} and {json_path} ({len(rows)} substructures; "
         f"{counts['candidates']} candidates, {counts['hosts']} distinct hosts, "

@@ -170,7 +170,11 @@ def synth_motif_set(n: int, motif: str, seed: int = 0) -> LabeledSet:
     attachment point; negatives are motif-free skeletons (resampled in the
     rare case an all-carbon motif occurs by chance). Molecules round-trip
     through the SMILES writer and parser, so text and graph always agree.
+    A corpus of no molecules is a DataError, as a CSV with no usable rows
+    is.
     """
+    if n < 1:
+        raise DataError(f"synthetic corpus of {n} molecules: it needs at least one")
     try:
         motif_molecule = parse_smiles(motif)
     except SmilesParseError as err:

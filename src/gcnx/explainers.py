@@ -25,16 +25,30 @@ is the classifier column spread over the nodes
 The excitation pass is a modified backward pass: each layer multiplies
 by W+ = max(W, 0) and by the layer's input features, and forms no
 product that a later step divides out again. W+ depends on the model
-alone, so explain and metrics build it once per checkpoint
-(positive_layer_weights) and pass it to every molecule's source.
+alone, so explain, and metrics when it computes eb or ceb, build it once
+per checkpoint (positive_layer_weights) and pass it to every molecule's
+source.
+
+The heatmap store keeps explain's exact pairs for the stages that follow
+it. explain writes every normalized pair it computes, as raw float64s,
+and each molecule's predicted class, through HeatmapStoreWriter;
+load_heatmap_store hands them to metrics and mine when the store's key
+matches their model and molecules and it holds their methods.
+molecule_pairs iterates over each molecule's predicted class and pairs,
+read from a loaded store or computed, so a stage has one loop for both.
 """
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import json
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+import gcnx
 from gcnx.graphs import AttributedGraph
 from gcnx.model import (
     ForwardTrace,
@@ -269,3 +283,159 @@ def explain_pair(
     pair[c] is class c's map. Pairs asked of the same source share its
     gradients and excitation pass."""
     return normalize_pair(*(source.heatmap(method, c, layer) for c in (0, 1)))
+
+
+# ------------------------------------------------------------ heatmap store
+
+STORE_FORMAT = 1
+STORE_VALUES = "heatmap_store.f64"
+STORE_INDEX = "heatmap_store.json"
+
+
+def _store_digests(params: ModelParams, entries) -> dict[str, str]:
+    """The store key and the two digests it covers besides the tool version
+    and STORE_FORMAT: the model (weight shapes and params.flat bytes) and
+    the molecules (each entry's id and SMILES, in dataset order). With the
+    featurization fixed, nothing else determines a heatmap."""
+    model = hashlib.sha256(json.dumps(params.shapes).encode("ascii"))
+    model.update(np.ascontiguousarray(params.flat, dtype="<f8"))
+    molecules = hashlib.sha256()
+    for mol_id, molecule, _ in entries:
+        molecules.update(json.dumps([mol_id, molecule.source_string]).encode("ascii") + b"\n")
+    digests = {"model": model.hexdigest(), "molecules": molecules.hexdigest()}
+    key = [gcnx.__version__, STORE_FORMAT, digests["model"], digests["molecules"]]
+    digests["key"] = hashlib.sha256(json.dumps(key).encode("ascii")).hexdigest()
+    return digests
+
+
+class HeatmapStoreWriter:
+    """Writes explain's heatmap pairs and predicted classes to out_dir as a
+    heatmap store, in a with block.
+
+    STORE_VALUES holds raw little-endian float64s: for each molecule in
+    dataset order, each (method, layer) of pairs in order, class 0's values
+    then class 1's. add() writes one molecule's, so no heatmap is held past
+    its molecule. STORE_INDEX is JSON with the key, its model and molecule
+    digests, the (method, layer) pairs and the predicted classes. Entering
+    removes any earlier index, and a clean exit writes the new one last,
+    under a temporary name that is then renamed, so an interrupted explain
+    leaves no store that loads."""
+
+    def __init__(self, out_dir: str, params: ModelParams, entries, pairs):
+        self._index_path = os.path.join(out_dir, STORE_INDEX)
+        self._values_path = os.path.join(out_dir, STORE_VALUES)
+        self._index = {
+            **_store_digests(params, entries),
+            "pairs": [[method, layer] for method, layer in pairs],
+            "predicted": [],
+        }
+
+    def __enter__(self) -> "HeatmapStoreWriter":
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(self._index_path)
+        self._values = open(self._values_path, "wb")
+        return self
+
+    def add(self, predicted: int, pairs) -> None:
+        """One molecule's predicted class and its pairs, in the order of
+        the writer's (method, layer) pairs."""
+        values = np.concatenate([heat.values for pair in pairs for heat in pair])
+        self._values.write(values.astype("<f8", copy=False).tobytes())
+        self._index["predicted"].append(predicted)
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self._values.close()
+        if exc_type is None:
+            partial = self._index_path + ".tmp"
+            with open(partial, "w", encoding="utf-8") as fh:
+                json.dump(self._index, fh, sort_keys=True)
+                fh.write("\n")
+            os.replace(partial, self._index_path)
+
+
+class StoreMismatch(Exception):
+    """Why a heatmap store cannot serve a stage, which then computes the
+    heatmaps itself."""
+
+
+@dataclass(frozen=True)
+class StoredHeatmaps:
+    """A loaded heatmap store: per molecule, its predicted class and its
+    values block, shape (pairs, 2, atoms); columns gives the block row of
+    each method a stage asked for, grad_cam at the final layer."""
+
+    predicted: list[int]
+    blocks: list[np.ndarray]
+    columns: dict[str, int]
+
+
+def load_heatmap_store(out_dir: str, params: ModelParams, entries, methods) -> StoredHeatmaps:
+    """The store that explain wrote to out_dir, if it serves these entries
+    and methods under params: its key matches, it holds every method
+    (grad_cam at the final layer), and its value file has the bytes that
+    the molecules' atom counts give. Otherwise StoreMismatch says why; an
+    unreadable or inconsistent store is a mismatch, never an error."""
+    index_path = os.path.join(out_dir, STORE_INDEX)
+    if not os.path.exists(index_path):
+        raise StoreMismatch(f"no heatmap store in {out_dir}")
+    try:
+        with open(index_path, encoding="utf-8") as fh:
+            index = json.load(fh)
+        digests = _store_digests(params, entries)
+        if index["key"] != digests["key"]:
+            if index["model"] != digests["model"]:
+                raise StoreMismatch("the heatmap store is of another model")
+            if index["molecules"] != digests["molecules"]:
+                raise StoreMismatch("the heatmap store is of other molecules")
+            raise StoreMismatch("the heatmap store is of another gcnx version or store format")
+        pairs = [(method, layer) for method, layer in index["pairs"]]
+        columns = {}
+        for method in methods:
+            layer = params.n_layers if method == "grad_cam" else None
+            if (method, layer) not in pairs:
+                at = f" at layer {layer}" if layer is not None else ""
+                raise StoreMismatch(f"the heatmap store holds no {method}{at}")
+            columns[method] = pairs.index((method, layer))
+        predicted = [int(c) for c in index["predicted"]]
+        if len(predicted) != len(entries) or not set(predicted) <= {0, 1}:
+            raise ValueError("its predicted classes do not match the molecules")
+        sizes = [len(pairs) * 2 * molecule.graph.n_nodes for _, molecule, _ in entries]
+        values_path = os.path.join(out_dir, STORE_VALUES)
+        if os.path.getsize(values_path) != 8 * sum(sizes):
+            raise ValueError(f"{values_path} does not hold {sum(sizes)} values")
+        values = np.fromfile(values_path, dtype="<f8")
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as err:
+        raise StoreMismatch(f"the heatmap store is unreadable: {err}") from err
+    blocks = np.split(values, np.cumsum(sizes)[:-1])
+    return StoredHeatmaps(
+        predicted=predicted,
+        blocks=[
+            block.reshape(len(pairs), 2, molecule.graph.n_nodes)
+            for block, (_, molecule, _) in zip(blocks, entries)
+        ],
+        columns=columns,
+    )
+
+
+def molecule_pairs(params: ModelParams, graphs, methods, stored: StoredHeatmaps | None = None):
+    """An iterator over graphs, in order, of each one's predicted class and,
+    per method, its normalized pair in class order (pair[c] is class c's
+    values), grad_cam at the final layer.
+
+    With stored, a store loaded for these graphs' molecules and methods,
+    both are read from it and nothing is computed. Otherwise one
+    MoleculeExplanations per graph computes them as the iterator reaches
+    it, on W+ built once when eb or ceb is asked for."""
+    if stored is not None:
+        return (
+            (predicted, [block[stored.columns[method]] for method in methods])
+            for predicted, block in zip(stored.predicted, stored.blocks)
+        )
+    positive_weights = positive_layer_weights(params) if {"eb", "ceb"} & set(methods) else None
+    return (_computed_pairs(graph, params, methods, positive_weights) for graph in graphs)
+
+
+def _computed_pairs(graph, params, methods, positive_weights) -> tuple[int, list]:
+    source = MoleculeExplanations(graph, params, positive_weights=positive_weights)
+    pairs = [[h.values for h in explain_pair(source, method)] for method in methods]
+    return int(np.argmax(source.trace.probabilities)), pairs

@@ -6,9 +6,12 @@ masks over their union; sparsity is the fraction of nodes outside the
 union; fidelity is the accuracy drop after occluding salient nodes,
 macro-averaged over true classes.
 
-metric_suite computes every measure in one loop over the molecules, with
-one forward and one explainers.MoleculeExplanations per molecule, and at
-most one stacked forward over the molecule's occlusions. Its pairs are in
+metric_suite computes every measure in one loop over the molecules, on
+each molecule's predicted class and heatmap pairs from
+explainers.molecule_pairs: read from explain's heatmap store when one is
+given, otherwise computed with one forward and one
+explainers.MoleculeExplanations per molecule. Either way it runs at most
+one stacked forward over the molecule's occlusions. Its pairs are in
 class order, so fidelity occludes masks[predicted] of the pair that
 contrastivity and sparsity read; methods whose masks coincide share one
 occluded copy. fidelity is metric_suite's fidelity of one method.
@@ -20,12 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gcnx.explainers import (
-    Heatmap,
-    MoleculeExplanations,
-    explain_pair,
-    positive_layer_weights,
-)
+from gcnx.explainers import Heatmap, StoredHeatmaps, molecule_pairs
 from gcnx.model import ModelParams, forward, occlude
 
 DEFAULT_THRESHOLD = 0.01
@@ -108,17 +106,22 @@ def metric_suite(
     dataset,
     methods,
     threshold: float = DEFAULT_THRESHOLD,
+    stored: StoredHeatmaps | None = None,
 ) -> list[MetricReport]:
     """Per-method lists in dataset order from one loop over the molecules;
     population standard deviations; degenerate (empty-union) molecules are
     excluded from the contrastivity mean but still count toward sparsity.
     Fidelity reads the same masks.
 
-    W+ for excitation backprop is built once, for all molecules. Per
-    molecule, each distinct non-empty predicted-class mask is occluded
-    once (model.occlude), and one forward runs all K occluded feature
-    matrices as a leading axis; its probabilities can differ from K lone
-    forwards in the last bit."""
+    stored is explain's heatmap store, loaded for the dataset's molecules
+    and these methods (explainers.load_heatmap_store): the loop scores its
+    exact pairs and predicted classes, and builds no W+ and runs no
+    unoccluded forward. Without it, molecule_pairs computes them, with W+
+    for eb and ceb built once for all molecules. Per molecule,
+    each distinct non-empty predicted-class mask is occluded once
+    (model.occlude), and one forward runs all K occluded feature matrices
+    as a leading axis; its probabilities can differ from K lone forwards
+    in the last bit."""
     methods = list(methods)
     if not dataset:
         raise ValueError("empty dataset")
@@ -126,13 +129,11 @@ def metric_suite(
     sparsities = {method: [] for method in methods}
     n_degenerate = dict.fromkeys(methods, 0)
     runs = {method: {} for method in methods}  # label -> [(correct before, after)]
-    positive_weights = positive_layer_weights(params)
-    for graph, label in dataset:
-        source = MoleculeExplanations(graph, params, positive_weights=positive_weights)
-        predicted = int(np.argmax(source.trace.probabilities))
+    sources = molecule_pairs(params, [graph for graph, _ in dataset], methods, stored)
+    for (graph, label), (predicted, pairs) in zip(dataset, sources):
         distinct, key_of = {}, {}  # mask bytes -> mask; method -> its mask's bytes
-        for method in methods:
-            m0, m1 = masks = [binarize(h, threshold) for h in explain_pair(source, method)]
+        for method, pair in zip(methods, pairs):
+            m0, m1 = masks = [values > threshold for values in pair]
             if not (m0.any() or m1.any()):
                 n_degenerate[method] += 1
             else:

@@ -427,7 +427,7 @@ def test_determinism(tmp_path):
             "--seed", "21",
             "--render",
         ],
-        ["heatmaps.jsonl"],
+        ["heatmaps.jsonl", "heatmap_store.f64", "heatmap_store.json"],
     )
     renders = [explain_out / "render", tmp_path / "explain-second" / "render"]
     names = sorted(os.listdir(renders[0]))

@@ -757,13 +757,199 @@ class TestParsing:
         assert code == 1
         assert "classes" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train", "explain", "metrics", "mine"])
+    def test_empty_synthetic_corpus_exit_2_before_writing(self, trained, tmp_path, capsys, command):
+        # as a CSV with no usable rows is
+        out = tmp_path / "out"
+        checkpoint = [] if command == "train" else ["--checkpoint", str(trained / "checkpoint.json")]
+        code = main([command, "--data", "synth:NO:0", *checkpoint, "--out-dir", str(out)])
+        assert code == 2
+        assert "synthetic corpus of 0 molecules" in capsys.readouterr().err
+        assert not out.exists()
+
+
+STORE_DATA = "synth:NO:16"
+SCORED = ("metrics.json", "metrics.csv", "mining.json", "mining.csv")
+
+
+def train_checkpoint(out, layers, epochs, seed="3"):
+    code = main(
+        [
+            "train",
+            "--data", "synth:NO:40",
+            "--epochs", epochs,
+            "--layers", layers,
+            "--seed", seed,
+            "--out-dir", str(out),
+        ]
+    )
+    assert code == 0
+    return out / "checkpoint.json"
+
+
+def explain_into(out, checkpoint, *options):
+    argv = ["explain", "--data", STORE_DATA, "--checkpoint", str(checkpoint), "--seed", "3"]
+    assert main([*argv, "--out-dir", str(out), *options]) == 0
+
+
+def score(out, checkpoint, capsys):
+    """metrics and mine on STORE_DATA in out: the bytes of their artifacts
+    and the stdout lines that say where their heatmaps came from."""
+    capsys.readouterr()
+    common = ["--data", STORE_DATA, "--checkpoint", str(checkpoint), "--seed", "3"]
+    assert main(["metrics", *common, "--out-dir", str(out)]) == 0
+    mine_options = ["--min-occurrence", "2", "--all-samples"]
+    assert main(["mine", *common, "--out-dir", str(out), *mine_options]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    sources = [line for line in lines if " heatmaps of " in line]
+    return {name: (out / name).read_bytes() for name in SCORED}, sources
+
+
+class TestHeatmapStore:
+    """explain's heatmap store: metrics and mine score its exact values when
+    it matches, compute them otherwise, and write the same bytes either way."""
+
+    @pytest.mark.parametrize(
+        "layers, epochs", [("16,32,64", "3"), ("128,256,512", "1")], ids=["desk", "paper"]
+    )
+    def test_same_bytes_with_and_without_store(self, tmp_path, capsys, layers, epochs):
+        checkpoint = train_checkpoint(tmp_path / "train", layers, epochs)
+        explain_into(tmp_path / "stored", checkpoint)
+        stored, stored_lines = score(tmp_path / "stored", checkpoint, capsys)
+        computed, computed_lines = score(tmp_path / "fresh", checkpoint, capsys)
+        assert stored == computed
+        assert json.loads(stored["mining.json"])["records"]
+        index = tmp_path / "stored" / "heatmap_store.json"
+        assert stored_lines == [f"scored the stored heatmaps of 16 molecules from {index}"] * 2
+        reason = f"no heatmap store in {tmp_path / 'fresh'}"
+        assert computed_lines == [f"computed the heatmaps of 16 molecules: {reason}"] * 2
+
+    def test_matching_store_recomputes_nothing(self, trained, tmp_path, capsys, monkeypatch):
+        import gcnx.cli
+        import gcnx.explainers
+        import gcnx.metrics
+
+        checkpoint = trained / "checkpoint.json"
+        computed, _ = score(tmp_path / "fresh", checkpoint, capsys)
+        explain_into(tmp_path / "stored", checkpoint)
+
+        def refuse(name):
+            def refused(*args, **kwargs):
+                raise AssertionError(f"{name} ran although the store matches")
+
+            return refused
+
+        real_forward = gcnx.metrics.forward
+
+        def occluded_only(graph, params, features=None):
+            if features is None:
+                raise AssertionError("an unoccluded forward ran although the store matches")
+            return real_forward(graph, params, features)
+
+        for name in ("excitation_backprop_trace", "class_score_gradients", "forward"):
+            monkeypatch.setattr(gcnx.explainers, name, refuse(name))
+        for module in (gcnx.cli, gcnx.explainers):
+            monkeypatch.setattr(module, "positive_layer_weights", refuse("positive_layer_weights"))
+        monkeypatch.setattr(gcnx.metrics, "forward", occluded_only)
+        stored, lines = score(tmp_path / "stored", checkpoint, capsys)
+        assert stored == computed
+        assert all(line.startswith("scored the stored heatmaps of 16") for line in lines)
+
+    @pytest.mark.parametrize(
+        "explain_options, damage, reason",
+        [
+            (["--checkpoint", "OTHER"], None, "the heatmap store is of another model"),
+            (["--data", "synth:NO:12"], None, "the heatmap store is of other molecules"),
+            (["--methods", "gradient"], None, "the heatmap store holds no grad_cam at layer 2"),
+            (["--layers", "1"], None, "the heatmap store holds no grad_cam at layer 2"),
+            (
+                [],
+                lambda out: (out / "heatmap_store.f64").write_bytes(
+                    (out / "heatmap_store.f64").read_bytes()[:-8]
+                ),
+                "the heatmap store is unreadable",
+            ),
+            ([], lambda out: (out / "heatmap_store.json").unlink(), "no heatmap store in"),
+        ],
+        ids=[
+            "another_checkpoint",
+            "other_molecules",
+            "gradient_only",
+            "no_final_layer",
+            "truncated_values",
+            "missing_index",
+        ],
+    )
+    def test_fallback_recomputes_the_same_bytes(
+        self, trained, tmp_path, capsys, explain_options, damage, reason
+    ):
+        checkpoint = trained / "checkpoint.json"
+        computed, _ = score(tmp_path / "fresh", checkpoint, capsys)
+        if "OTHER" in explain_options:
+            other = train_checkpoint(tmp_path / "other", "8,16", "1", seed="4")
+            explain_options = ["--checkpoint", str(other)]
+        out = tmp_path / "stored"
+        explain_into(out, checkpoint, *explain_options)
+        if damage is not None:
+            damage(out)
+        stored, lines = score(out, checkpoint, capsys)
+        assert stored == computed
+        assert len(lines) == 2
+        for line in lines:
+            assert line.startswith("computed the heatmaps of 16 molecules: ")
+            assert reason in line
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda index: "not json",
+            lambda index: "[1]",
+            lambda index: json.dumps({**index, "pairs": 5}),
+            lambda index: json.dumps({**index, "pairs": [["grad_cam"]]}),
+            lambda index: json.dumps({**index, "predicted": index["predicted"][:-1]}),
+            lambda index: json.dumps({**index, "predicted": [2] * len(index["predicted"])}),
+            lambda index: json.dumps({key: index[key] for key in index if key != "model"} | {"key": "0"}),
+        ],
+        ids=["not_json", "list", "pairs_number", "pair_short", "predicted_short", "class_2", "no_model"],
+    )
+    def test_unreadable_index_recomputes(self, trained, tmp_path, capsys, corrupt):
+        checkpoint = trained / "checkpoint.json"
+        computed, _ = score(tmp_path / "fresh", checkpoint, capsys)
+        out = tmp_path / "stored"
+        explain_into(out, checkpoint)
+        index_path = out / "heatmap_store.json"
+        index_path.write_text(corrupt(json.loads(index_path.read_text())), encoding="utf-8")
+        stored, lines = score(out, checkpoint, capsys)
+        assert stored == computed
+        assert all("the heatmap store is unreadable" in line for line in lines) and len(lines) == 2
+
+    def test_interrupted_explain_leaves_no_store(self, trained, tmp_path, monkeypatch):
+        import gcnx.cli
+
+        out = tmp_path / "out"
+        checkpoint = trained / "checkpoint.json"
+        explain_into(out, checkpoint)
+        assert (out / "heatmap_store.json").exists()
+        real_explain_pair = gcnx.cli.explain_pair
+        calls = []
+
+        def failing_explain_pair(*args):
+            calls.append(args)
+            if len(calls) > 20:
+                raise RuntimeError("interrupted")
+            return real_explain_pair(*args)
+
+        monkeypatch.setattr(gcnx.cli, "explain_pair", failing_explain_pair)
+        argv = ["explain", "--data", STORE_DATA, "--checkpoint", str(checkpoint)]
+        assert main([*argv, "--out-dir", str(out)]) == 1
+        assert sorted(os.listdir(out)) == ["heatmap_store.f64", "heatmaps.jsonl"]
+
 
 class TestExcitationWeights:
     @pytest.mark.parametrize("command", ["explain", "metrics"])
     def test_built_once_per_run(self, trained, tmp_path, monkeypatch, command):
         import gcnx.cli
         import gcnx.explainers
-        import gcnx.metrics
 
         builds, passes = [], []
         real_build = gcnx.explainers.positive_layer_weights
@@ -777,7 +963,8 @@ class TestExcitationWeights:
             passes.append(positive_weights)
             return real_pass(trace, graph, params, positive_weights)
 
-        for module in (gcnx.cli, gcnx.explainers, gcnx.metrics):
+        # metrics builds W+ through explainers.molecule_pairs
+        for module in (gcnx.cli, gcnx.explainers):
             monkeypatch.setattr(module, "positive_layer_weights", counting_build)
         monkeypatch.setattr(gcnx.explainers, "excitation_backprop_trace", counting_pass)
         argv = [
@@ -797,7 +984,9 @@ class TestExcitationWeights:
 
 def blas_thread_outputs(tmp_path, layers, epochs, train_data):
     """heatmaps.jsonl and metrics.json bytes of explain and metrics on
-    synth:NO:8, run under OpenBLAS on 1 and on 2 threads."""
+    synth:NO:8, run under OpenBLAS on 1 and on 2 threads; metrics runs once
+    on explain's heatmap store and once in a directory without one, where
+    it computes the heatmaps itself."""
     checkpoint_dir = tmp_path / "train"
     code = main(
         [
@@ -814,21 +1003,27 @@ def blas_thread_outputs(tmp_path, layers, epochs, train_data):
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src_pythonpath())
         out = tmp_path / f"blas{threads}"
-        for command in ("explain", "metrics"):
+        fresh = tmp_path / f"blas{threads}-no-store"
+        for command, out_dir in (("explain", out), ("metrics", out), ("metrics", fresh)):
             subprocess.run(
                 [
                     sys.executable, "-m", "gcnx", command,
                     "--data", "synth:NO:8",
                     "--checkpoint", str(checkpoint_dir / "checkpoint.json"),
                     "--seed", "3",
-                    "--out-dir", str(out),
+                    "--out-dir", str(out_dir),
                 ],
                 env=env,
                 check=True,
                 capture_output=True,
             )
+        assert not (fresh / "heatmap_store.json").exists()
         outputs.append(
-            ((out / "heatmaps.jsonl").read_bytes(), (out / "metrics.json").read_bytes())
+            (
+                (out / "heatmaps.jsonl").read_bytes(),
+                (out / "metrics.json").read_bytes(),
+                (fresh / "metrics.json").read_bytes(),
+            )
         )
     return outputs
 
