@@ -58,6 +58,7 @@ from gcnx.explainers import (
     StoredHeatmaps,
     StoreMismatch,
     explain_pair,
+    heatmap_records,
     load_heatmap_store,
     molecule_pairs,
     positive_layer_weights,
@@ -308,10 +309,7 @@ def cmd_explain(args) -> int:
                 molecule.graph, params, positive_weights=positive_weights
             )
             pairs = [explain_pair(source, method, layer) for method, layer in requested]
-            for pair in pairs:
-                for heat in pair:
-                    record = heat.to_record(mol_id, molecule.source_string)
-                    fh.write(json.dumps(record) + "\n")
+            fh.write(heatmap_records(mol_id, molecule.source_string, pairs))
             n_records += 2 * len(pairs)
             store.add(int(np.argmax(source.trace.probabilities)), pairs)
             if args.render:

@@ -129,7 +129,7 @@ def _random_skeleton(rng) -> tuple[list[ElementLabel], list[tuple[int, int, int]
     bonds = []
     for i in range(1, n):
         open_slots = [j for j in range(i) if degree[j] < MAX_SKELETON_DEGREE]
-        j = int(rng.choice(open_slots))
+        j = open_slots[int(rng.integers(len(open_slots)))]
         bonds.append((j, i, SINGLE))
         degree[i] += 1
         degree[j] += 1
@@ -157,7 +157,7 @@ def _graft(skeleton, motif: Molecule, rng):
     elements = elements + list(motif.elements)
     bonds = bonds + [(i + offset, j + offset, order) for i, j, order in motif.bonds]
     open_slots = [i for i in range(offset) if degree[i] < MAX_SKELETON_DEGREE]
-    anchor = int(rng.choice(open_slots))
+    anchor = open_slots[int(rng.integers(len(open_slots)))]
     motif_atom = offset + int(rng.integers(0, motif.n_atoms))
     bonds.append((anchor, motif_atom, SINGLE))
     return elements, bonds

@@ -13,11 +13,13 @@ grad_cam values themselves, so the two emit identical records.
 
 MoleculeExplanations is the one way to ask for a heatmap. It is built per
 molecule and computes each quantity once: one forward trace, one backward
-pass stacked over the classes for the gradient methods, and one excitation
-pass stacked over four seeds (each class, with the classifier as it is and
-negated), shared by eb and ceb. explain_pair reads a normalized class pair
-from it, so every pair asked of one source shares that work. Both reverse
-passes carry their seeds as a leading axis through the layer loop.
+pass stacked over the classes for the gradient methods, each (class,
+layer) Grad-CAM map, which cam, grad_cam and grad_cam_avg share, and one
+excitation pass stacked over four seeds (each class, with the classifier
+as it is and negated), shared by eb and ceb. explain_pair reads a
+normalized class pair from it, so every pair asked of one source shares
+that work. Both reverse passes carry their seeds as a leading axis
+through the layer loop.
 Final-layer Grad-CAM, and with it cam, needs neither: its score gradient
 is the classifier column spread over the nodes
 (model.final_layer_score_gradients), so it runs no reverse pass.
@@ -36,6 +38,10 @@ load_heatmap_store hands them to metrics and mine when the store's key
 matches their model and molecules and it holds their methods.
 molecule_pairs iterates over each molecule's predicted class and pairs,
 read from a loaded store or computed, so a stage has one loop for both.
+
+heatmap_records writes one molecule's heatmaps.jsonl lines at once: the
+id and SMILES are encoded once and every value of the molecule is rounded
+in one vectorized pass that returns exactly Python's round(v, 10).
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ import contextlib
 import hashlib
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,18 +74,6 @@ class Heatmap:
     values: np.ndarray
     normalized: bool = False
     layer: int | None = None
-
-    def to_record(self, molecule_id: str, smiles: str) -> dict:
-        """JSON-lines record, with values rounded to 10 digits."""
-        return {
-            "molecule_id": molecule_id,
-            "smiles": smiles,
-            "method": self.method,
-            "class": self.class_id,
-            "layer": self.layer,
-            "values": [round(float(v), 10) for v in self.values],
-            "normalized": self.normalized,
-        }
 
 
 # ------------------------------------------------------- excitation backprop
@@ -162,12 +156,16 @@ class MoleculeExplanations:
     score gradients of all classes at every layer come from one stacked
     backward pass (model.class_score_gradients), which gradient, grad_cam
     below layer L and the lower layers of grad_cam_avg read; it runs only
-    if one of them is asked for. The excitation masses of every class and
-    classifier sign come from one stacked pass (excitation_backprop_trace),
-    which eb and ceb both read; it runs only if one of them is asked for,
-    on positive_weights, the model's positive_layer_weights, which a stage
-    builds once for all its molecules (built per pass if None). Everything
-    is computed on first use.
+    if one of them is asked for. Each (class, layer) Grad-CAM map is
+    computed once, each class by its own matvec; cam, grad_cam at that
+    layer and grad_cam_avg's summand all read that one array, so no
+    caller may write to a heatmap's values in place. The excitation masses
+    of every class and classifier sign come from one stacked pass
+    (excitation_backprop_trace), which eb and ceb both read; it runs only
+    if one of them is asked for, on positive_weights, the model's
+    positive_layer_weights, which a stage builds once for all its
+    molecules (built per pass if None). Everything is computed on first
+    use.
     """
 
     def __init__(
@@ -183,6 +181,7 @@ class MoleculeExplanations:
         self.positive_weights = positive_weights
         self._gradients: list[np.ndarray] | None = None
         self._final_gradients: np.ndarray | None = None
+        self._grad_cams: dict[tuple[int, int], np.ndarray] = {}
         self._excitation: np.ndarray | None = None
 
     def _activation_gradients(self, class_id: int) -> list[np.ndarray]:
@@ -190,6 +189,14 @@ class MoleculeExplanations:
         if self._gradients is None:
             self._gradients = class_score_gradients(self.trace, self.graph, self.params)
         return [g[class_id] for g in self._gradients]
+
+    def _grad_cam(self, class_id: int, layer: int) -> np.ndarray:
+        """Grad-CAM map of class_id at layer, computed on first use."""
+        key = (class_id, layer)
+        values = self._grad_cams.get(key)
+        if values is None:
+            values = self._grad_cams[key] = self._grad_cam_values(class_id, layer)
+        return values
 
     def _grad_cam_values(self, class_id: int, layer: int) -> np.ndarray:
         if layer == self.trace.n_layers:
@@ -231,19 +238,19 @@ class MoleculeExplanations:
             clamped = np.maximum(self._activation_gradients(class_id)[0], 0.0)
             values = np.sqrt((clamped * clamped).sum(axis=1))
         elif method == "cam":
-            values = self._grad_cam_values(class_id, trace.n_layers)
+            values = self._grad_cam(class_id, trace.n_layers)
         elif method == "grad_cam":
             n_layers = trace.n_layers
             if layer is None:
                 layer = n_layers
             if not 1 <= layer <= n_layers:
                 raise ValueError(f"layer must be in 1..{n_layers}, got {layer}")
-            values = self._grad_cam_values(class_id, layer)
+            values = self._grad_cam(class_id, layer)
             return Heatmap(method=method, class_id=class_id, values=values, layer=layer)
         elif method == "grad_cam_avg":
             values = np.zeros(trace.n_nodes)
             for l in range(1, trace.n_layers + 1):
-                values += self._grad_cam_values(class_id, l)
+                values += self._grad_cam(class_id, l)
             values = values / trace.n_layers
         elif method == "eb":
             values = self._excitation_masses(class_id)[0]
@@ -269,11 +276,8 @@ def normalize_pair(h0: Heatmap, h1: Heatmap) -> tuple[Heatmap, Heatmap]:
     all-zero pair is returned unscaled and flagged unnormalized."""
     joint = float(h0.values.sum() + h1.values.sum())
     if joint == 0.0:
-        return replace(h0, normalized=False), replace(h1, normalized=False)
-    return (
-        replace(h0, values=h0.values / joint, normalized=True),
-        replace(h1, values=h1.values / joint, normalized=True),
-    )
+        return tuple(Heatmap(h.method, h.class_id, h.values, False, h.layer) for h in (h0, h1))
+    return tuple(Heatmap(h.method, h.class_id, h.values / joint, True, h.layer) for h in (h0, h1))
 
 
 def explain_pair(
@@ -283,6 +287,66 @@ def explain_pair(
     pair[c] is class c's map. Pairs asked of the same source share its
     gradients and excitation pass."""
     return normalize_pair(*(source.heatmap(method, c, layer) for c in (0, 1)))
+
+
+# ------------------------------------------------------------------ records
+
+# json.dumps's tokens for the values float.__repr__ writes as nan, inf, -inf
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _round10(values: np.ndarray) -> np.ndarray:
+    """round(float(v), 10) of every value, bit for bit, in one pass.
+
+    Python rounds the exact binary value to 10 decimals, half to even, and
+    returns the double nearest the result. rint(v * 1e10) / 1e10 does the
+    same wherever the rounding of v * 1e10 cannot have moved it across a
+    half-integer, which holds when it lies more than a few ulps from one:
+    the integer and 1e10 are then exact and the division is correctly
+    rounded. The rest go through round itself: values that near a
+    half-integer, values of 2**50 / 1e10 or more in magnitude, whose ulp
+    leaves no half-integer that far away, and non-finite ones."""
+    values = np.asarray(values, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = values * 1e10
+        rounded = np.rint(scaled) / 1e10
+        to_half = np.abs(scaled - np.floor(scaled) - 0.5)
+        exact = to_half > 4.0 * np.spacing(np.abs(scaled))
+    if not exact.all():
+        slow = ~exact
+        rounded[slow] = [round(v, 10) for v in values[slow].tolist()]
+    return rounded
+
+
+def heatmap_records(molecule_id: str, smiles: str, pairs) -> str:
+    """The heatmaps.jsonl lines of one molecule's heatmap pairs, in order:
+    for each heatmap, json.dumps of {molecule_id, smiles, method, class,
+    layer, values, normalized} and a newline, with every value rounded as
+    round(float(v), 10).
+
+    The id, the SMILES and each method are encoded once, and all of the
+    molecule's values are rounded in one pass and written with
+    float.__repr__, as json.dumps writes floats (NaN, Infinity and
+    -Infinity where they are not finite)."""
+    heatmaps = [heat for pair in pairs for heat in pair]
+    values = _round10(np.concatenate([heat.values for heat in heatmaps]))
+    texts = list(map(float.__repr__, values.tolist()))
+    if not np.isfinite(values).all():
+        texts = [_JSON_NON_FINITE.get(text, text) for text in texts]
+    head = f'{{"molecule_id": {json.dumps(molecule_id)}, "smiles": {json.dumps(smiles)}, "method": '
+    methods = {method: json.dumps(method) for method in {heat.method for heat in heatmaps}}
+    lines = []
+    start = 0
+    for heat in heatmaps:
+        stop = start + len(heat.values)
+        layer = "null" if heat.layer is None else heat.layer
+        normalized = "true" if heat.normalized else "false"
+        lines.append(
+            f'{head}{methods[heat.method]}, "class": {heat.class_id}, "layer": {layer}, '
+            f'"values": [{", ".join(texts[start:stop])}], "normalized": {normalized}}}\n'
+        )
+        start = stop
+    return "".join(lines)
 
 
 # ------------------------------------------------------------ heatmap store

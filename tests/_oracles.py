@@ -6,6 +6,7 @@ library code paths it checks.
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 from dataclasses import dataclass
 from itertools import permutations
@@ -463,6 +464,29 @@ def _reference_heatmap(graph, params, trace, method, class_id) -> np.ndarray:
     ).heatmap_values
     diff = np.maximum(base - opposite, 0.0)
     return diff / diff.sum() if diff.sum() > 0.0 else diff
+
+
+# ---------------------------------------------------------- heatmap records
+def heatmap_record(heat, molecule_id: str, smiles: str) -> dict:
+    """One heatmaps.jsonl record, with each value rounded by Python's round."""
+    return {
+        "molecule_id": molecule_id,
+        "smiles": smiles,
+        "method": heat.method,
+        "class": heat.class_id,
+        "layer": heat.layer,
+        "values": [round(float(v), 10) for v in heat.values],
+        "normalized": heat.normalized,
+    }
+
+
+def heatmap_record_lines(molecule_id: str, smiles: str, pairs) -> str:
+    """A molecule's heatmaps.jsonl lines, one json.dumps per record."""
+    return "".join(
+        json.dumps(heatmap_record(heat, molecule_id, smiles)) + "\n"
+        for pair in pairs
+        for heat in pair
+    )
 
 
 def reference_metric_suite(params, dataset, methods, threshold) -> list[dict]:

@@ -9,8 +9,12 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from _oracles import heatmap_record_lines
 from conftest import bench_module, drop_last_value
 from gcnx.cli import main
+from gcnx.datasets import synth_motif_set
+from gcnx.explainers import MoleculeExplanations, explain_pair
+from gcnx.model import load_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -191,6 +195,45 @@ class TestExplain:
         for (mol_id, method, class_id), values in by_key.items():
             if method == "cam":
                 assert values == by_key[(mol_id, "grad_cam", class_id)]
+
+    def test_records_equal_per_record_json_dumps(self, tmp_path):
+        # every method and Grad-CAM layer, against one json.dumps per record
+        # of a pair computed on its own source
+        checkpoint = train_checkpoint(tmp_path / "train", "16,32,64", "3")
+        methods = "gradient,cam,grad_cam,grad_cam_avg,eb,ceb,null"
+        out = tmp_path / "out"
+        code = main(
+            [
+                "explain",
+                "--data", "synth:NO:40",
+                "--checkpoint", str(checkpoint),
+                "--methods", methods,
+                "--layers", "1,2,3",
+                "--seed", "3",
+                "--out-dir", str(out),
+            ]
+        )
+        assert code == 0
+        params, _, _ = load_checkpoint(str(checkpoint))
+        requested = [
+            (method, layer)
+            for method in methods.split(",")
+            for layer in ((1, 2, 3) if method == "grad_cam" else (None,))
+        ]
+        expected = "".join(
+            heatmap_record_lines(
+                mol_id,
+                molecule.source_string,
+                [
+                    explain_pair(MoleculeExplanations(molecule.graph, params), method, layer)
+                    for method, layer in requested
+                ],
+            )
+            for mol_id, molecule, _ in synth_motif_set(40, "NO", seed=3).entries
+        )
+        lines = (out / "heatmaps.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+        assert len(lines) == 1 + 40 * 2 * len(requested)
+        assert "".join(lines[1:]) == expected
 
     def test_cam_and_grad_cam_dot_clusters_match_on_symmetric_molecules(self, tmp_path, monkeypatch):
         # the benchmark's symmetric-mine train and explain stages; symmetric

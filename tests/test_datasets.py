@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from gcnx.datasets import DataError, LabeledSet, load_csv, split, synth_motif_set
@@ -150,6 +152,23 @@ class TestSynthMotifSet:
     def test_oversized_motif_rejected(self):
         with pytest.raises(DataError):
             synth_motif_set(10, "CCCCCCC", seed=0)
+
+    # SHA-256 of the corpus's "<smiles>,<label>" lines. The benchmark builds
+    # its corpora with synth_motif_set: 98 molecules is the negative pool of
+    # symmetric-mine, 160 synth-paper and 400 synth-desk.
+    @pytest.mark.parametrize(
+        "n, seed, digest",
+        [
+            (98, 5, "b427cff20a14dfa38fe08a5bfb88cd90d03bd175385abc94cce2e4ad67843699"),
+            (160, 1, "a0dc83ab8008095a30493e80a1c9a1961f65f4c1c4acd13d4f46efef9438fcf3"),
+            (400, 2, "d15eedfa3e173f14853557d19482a140e74724d300408a7820b7175c42d361cd"),
+            (40, 77, "c9998fd8c8f80aecf4afb7b1626ad2b58ebe75b884a709120979f935294d9929"),
+        ],
+    )
+    def test_corpus_digest_pinned(self, n, seed, digest):
+        ds = synth_motif_set(n, "NO", seed=seed)
+        text = "".join(f"{m.source_string},{label}\n" for _, m, label in ds.entries)
+        assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
 
     def test_skeleton_sizes_in_range(self):
         ds = synth_motif_set(60, "NO", seed=11)

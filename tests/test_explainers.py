@@ -1,5 +1,9 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     bench_module,
@@ -12,8 +16,10 @@ from gcnx.explainers import (
     METHODS,
     Heatmap,
     MoleculeExplanations,
+    _round10,
     excitation_backprop_trace,
     explain_pair,
+    heatmap_records,
     normalize_pair,
     positive_layer_weights,
 )
@@ -21,7 +27,7 @@ from gcnx.graphs import AttributedGraph
 from gcnx.model import class_score_gradients, forward, init_params, score_gradients
 from gcnx.smiles import parse_smiles
 
-from _oracles import central_difference, straight_line_eb, tail_class_score
+from _oracles import central_difference, heatmap_record_lines, straight_line_eb, tail_class_score
 from _oracles import excitation_backprop_trace as per_seed_eb
 from _oracles import round_trip_excitation_backprop_trace
 
@@ -388,6 +394,28 @@ class TestMoleculeExplanations:
                     assert np.array_equal(got.values, want.values)
                     assert got.layer == want.layer and got.normalized == want.normalized
 
+    def test_each_grad_cam_map_computed_once(self, monkeypatch):
+        calls = []
+        real = MoleculeExplanations._grad_cam_values
+
+        def counting(self, class_id, layer):
+            calls.append((class_id, layer))
+            return real(self, class_id, layer)
+
+        monkeypatch.setattr(MoleculeExplanations, "_grad_cam_values", counting)
+        g, p = random_instance(seed=331, widths=(4, 5, 6))
+        t = forward(g, p)
+        requests = [("cam", None), *(("grad_cam", l) for l in (1, 2, 3)), ("grad_cam_avg", None)]
+        source = MoleculeExplanations(g, p, t)
+        pairs = [explain_pair(source, method, layer) for method, layer in requests]
+        # 2 classes x 3 layers, where cam, grad_cam and grad_cam_avg asked 14
+        assert sorted(calls) == [(c, l) for c in (0, 1) for l in (1, 2, 3)]
+        monkeypatch.undo()
+        for (method, layer), pair in zip(requests, pairs):
+            expected = explain_pair(MoleculeExplanations(g, p, t), method, layer)
+            for got, want in zip(pair, expected):
+                assert np.array_equal(got.values, want.values)
+
 
 class TestNormalizePair:
     def test_arithmetic_example(self):
@@ -445,11 +473,78 @@ class TestPermutationEquivariance:
                 assert np.allclose(hp.values, h.values[perm], atol=1e-12)
 
 
+def python_rounding(values) -> list[str]:
+    return [repr(round(float(v), 10)) for v in values]
+
+
+def vectorized_rounding(values) -> list[str]:
+    return [repr(v) for v in _round10(np.array(values, dtype=np.float64)).tolist()]
+
+
+def halfway_neighbourhood(ks, sign=1.0) -> list[float]:
+    """(k + 0.5) / 1e10 for each k, and the doubles on either side of it."""
+    values = []
+    for k in ks:
+        v = sign * (k + 0.5) / 1e10
+        values += [np.nextafter(v, -np.inf), v, np.nextafter(v, np.inf)]
+    return [float(v) for v in values]
+
+
+class TestRound10:
+    """_round10 returns exactly what round(float(v), 10) returns."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=50))
+    def test_unit_interval(self, values):
+        assert vectorized_rounding(values) == python_rounding(values)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 10**10), min_size=1, max_size=20), st.sampled_from([1.0, -1.0]))
+    def test_halfway_cases_and_their_neighbours(self, ks, sign):
+        values = halfway_neighbourhood(ks, sign)
+        assert vectorized_rounding(values) == python_rounding(values)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(-1.0, 0.0),
+                st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),
+                st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
+            ),
+            min_size=1,
+            max_size=50,
+        )
+    )
+    def test_negatives_signed_zeros_and_subnormals(self, values):
+        assert vectorized_rounding(values) == python_rounding(values)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=50))
+    def test_magnitudes_up_to_1e300(self, values):
+        assert vectorized_rounding(values) == python_rounding(values)
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [1 / 2048, 3 / 2048, -5 / 2048, 0.5e-10, 1.5e-10, 2.5e-10, -2.5e-10],
+            [2.0**52 / 1e10, np.nextafter(2.0**52 / 1e10, 0.0), 4503599627370496.5e-10],
+            [1e300, -1e300, 1.7976931348623157e308, 1e-300],
+        ],
+        ids=["exact-halves", "near-2**52", "extremes"],
+    )
+    def test_boundary_examples(self, values):
+        assert vectorized_rounding(values) == python_rounding(values)
+
+
 class TestRecords:
     def test_record_fields(self):
-        h = Heatmap("grad_cam", 1, np.array([0.25, 0.75]), normalized=True, layer=3)
-        rec = h.to_record("mol-1", "CC")
-        assert rec == {
+        pair = (
+            Heatmap("grad_cam", 0, np.array([0.0, 0.0]), normalized=True, layer=3),
+            Heatmap("grad_cam", 1, np.array([0.25, 0.75]), normalized=True, layer=3),
+        )
+        lines = heatmap_records("mol-1", "CC", [pair]).splitlines()
+        assert json.loads(lines[1]) == {
             "molecule_id": "mol-1",
             "smiles": "CC",
             "method": "grad_cam",
@@ -458,6 +553,24 @@ class TestRecords:
             "values": [0.25, 0.75],
             "normalized": True,
         }
+
+    def test_escaped_id_and_smiles_equal_json_dumps(self):
+        mol_id, smiles = 'mol "7" \\ é ☃', "C[C@@H](O)\\C=C/C"
+        pairs = [
+            (Heatmap("eb", 0, np.array([1 / 3, 0.0])), Heatmap("eb", 1, np.array([2 / 3, 0.0]))),
+            (Heatmap("null", 0, np.zeros(2)), Heatmap("null", 1, np.zeros(2))),
+        ]
+        text = heatmap_records(mol_id, smiles, pairs)
+        assert text == heatmap_record_lines(mol_id, smiles, pairs)
+        assert text.isascii()
+        assert {json.loads(line)["molecule_id"] for line in text.splitlines()} == {mol_id}
+
+    def test_non_finite_values_written_as_json_dumps_writes_them(self):
+        values = np.array([np.nan, np.inf, -np.inf, 0.5, -0.0, 1e300])
+        pair = (Heatmap("gradient", 0, values), Heatmap("gradient", 1, values[::-1].copy()))
+        text = heatmap_records("m", "C", [pair])
+        assert text == heatmap_record_lines("m", "C", [pair])
+        assert '"values": [NaN, Infinity, -Infinity, 0.5, -0.0, 1e+300]' in text
 
     def test_unknown_method_rejected(self):
         g, p = random_instance(seed=1)
